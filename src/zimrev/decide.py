@@ -191,18 +191,30 @@ def _square_free_component(prefix_len: int) -> Optional[GeneratedSpec]:
 _flat_witness_cache: Dict[Tuple[FormulaR, int], Optional[ProductSpec]] = {}
 
 
+def _square_free_avoids(phi: FormulaR, square_free: GeneratedSpec, image_bound: int) -> Optional[bool]:
+    """Whether the square-free prefix admits no occurrence of phi with images
+    up to image_bound; None when the absence proof runs out of budget."""
+    try:
+        return occurs(phi, square_free.prefix, SearchBudget(image_bound, _WITNESS_STEPS)) is None
+    except SearchBudgetExceeded:
+        return None
+
+
 def _flat_witness(flat: FormulaR, prefix_len: int) -> Optional[ProductSpec]:
     key = (flat, prefix_len)
     if key not in _flat_witness_cache:
         spec = None
         # fast path: the canonical square-free word avoids any flat whose
-        # instances force a square, which covers most desk-scale flats
+        # instances force a square, which covers most desk-scale flats; when
+        # its absence proof runs out of budget (None) there is no witness, as
+        # the avoider search at this prefix length would cost far more
         square_free = _square_free_component(prefix_len)
-        if square_free is not None and occurs(
-            flat, square_free.prefix, SearchBudget(WITNESS_IMAGE_BOUND, _WITNESS_STEPS)
-        ) is None:
+        avoided = square_free is not None and _square_free_avoids(
+            flat, square_free, WITNESS_IMAGE_BOUND
+        )
+        if avoided:
             spec = ProductSpec(square_free, PeriodicSpec(word("123")))
-        else:
+        elif avoided is not None:
             for k in _AVOIDER_ALPHABETS:
                 report = search_avoiding_word(
                     flat, k, prefix_len, SearchBudget(WITNESS_IMAGE_BOUND, _AVOIDER_STEPS)
@@ -242,13 +254,17 @@ def lemma_all_two_way(phi: FormulaR) -> Optional[LemmaCert]:
     """Every variable two-way and some variable repeats inside one flattened
     fragment; then (12...m')^omega avoids the formula, m' = 2^(n-1)+1.
 
-    At m' = 2 the two-letter cycle has reversible factors beyond single
-    letters, so witnesses are only ever trusted through the bounded
-    occurrence check, never through that structural claim."""
+    At m' = 2 (one variable) a repeat is not enough: (12)^omega has squares
+    and reversed factors, so ``x x . x~`` occurs with x -> 12.  What it lacks
+    are even-length palindromes, so there some fragment must hold x x~ or
+    x~ x."""
     classes = classify_vars(phi)
     if not classes or any(tag == ONE_WAY for tag in classes.values()):
         return None
-    if not _some_var_repeats_in_fragment(phi):
+    if len(classes) == 1:
+        if not _has_adjacent_mirror_pair(phi):
+            return None
+    elif not _some_var_repeats_in_fragment(phi):
         return None
     m_prime = 2 ** (len(classes) - 1) + 1
     if m_prime > len(GLYPHS):
@@ -294,6 +310,14 @@ def _some_var_repeats_in_fragment(phi: FormulaR) -> bool:
     return False
 
 
+def _has_adjacent_mirror_pair(phi: FormulaR) -> bool:
+    return any(
+        a.var == b.var and a.mirrored != b.mirrored
+        for frag in phi
+        for a, b in zip(frag.syms, frag.syms[1:])
+    )
+
+
 def _var_repeats_in_some_fragment(phi: FormulaR, name: str) -> bool:
     for frag in phi:
         if sum(1 for s in frag if s.var == name) >= 2:
@@ -337,10 +361,10 @@ def build_witness(cert: Certificate) -> OmegaWordSpec:
 
 def _search_evidence(phi: FormulaR, length: int, max_alphabet: int) -> Optional[EvidenceCert]:
     if max_alphabet >= 3 and length == _EVIDENCE_LENGTH:
+        # a fast path that runs out of budget is no evidence; the bounded
+        # avoider loop below still gets its turn
         square_free = _square_free_component(length)
-        if square_free is not None and occurs(
-            phi, square_free.prefix, SearchBudget(length, _WITNESS_STEPS)
-        ) is None:
+        if square_free is not None and _square_free_avoids(phi, square_free, length):
             return EvidenceCert(square_free.prefix, 3, length)
     for k in _AVOIDER_ALPHABETS:
         if k > max_alphabet:

@@ -11,6 +11,14 @@ positions of that prefix, which skips exactly the candidates the prefix test
 would reject, so the first witness found is the first in the documented
 enumeration order.
 
+The occurrence search also looks ahead of the frontier: the symbols right
+after the new variable's stamping occurrence that are already bound (or are
+that variable again) have known images, so a candidate is viable only if the
+text continues with them at one of its positions.  A candidate that is not
+viable is exactly one the fragment's own prefix test would reject; it skips
+the refresh and the recursion but still costs one step, so the budget runs
+out at the same step as without the lookahead.
+
 Image lengths are capped at the sound bound (|w| for occurrences, the longest
 fragment of the target for divisions): a completed search at that bound is a
 proof of absence.  Exceeding the step budget raises, which keeps "ran out of
@@ -238,17 +246,47 @@ class _ConcreteSearch:
         mirrored = frag[off].mirrored
         tail_min = len(frag) - off - 1
         text = self.text
-        cands = set()
+        n = self.n
+        # lookahead: images of the symbols right after the frontier that are
+        # bound or are var itself; None stands for var's image, reversed
+        # when the flag is set
+        ahead = []
+        k = off + 1
+        while k < len(frag) and (frag[k].var == var or frag[k].var in assignment):
+            s = frag[k]
+            if s.var == var:
+                ahead.append((None, s.mirrored))
+            else:
+                piece = assignment[s.var]
+                ahead.append((piece[::-1] if s.mirrored else piece, False))
+            k += 1
+        rest_min = len(frag) - k
+        # candidate -> viable: some position continues with the lookahead images
+        cands: Dict[str, bool] = {}
         for p in positions:
             start = p + start_off
-            limit = min(self.cap, self.n - start - tail_min)
+            limit = min(self.cap, n - start - tail_min)
             for ln in range(1, limit + 1):
-                seg = text[start : start + ln]
-                cands.add(seg[::-1] if mirrored else seg)
+                end = start + ln
+                seg = text[start:end]
+                cand = seg[::-1] if mirrored else seg
+                if cands.get(cand):
+                    continue
+                for piece, rev in ahead:
+                    if piece is None:
+                        piece = cand[::-1] if rev else cand
+                    if not text.startswith(piece, end):
+                        cands[cand] = False
+                        break
+                    end += len(piece)
+                else:
+                    cands[cand] = end + rest_min <= n
         for cand in sorted(cands, key=lambda s: (len(s), s)):
             self.steps += 1
             if self.steps > self.max_steps:
                 raise SearchBudgetExceeded(self.steps)
+            if not cands[cand]:
+                continue
             assignment[var] = cand
             new_state = self._refresh(assignment, state)
             if new_state is not None:

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from zimrev.decide import (
     AVOIDABLE,
     UNAVOIDABLE,
+    WITNESS_PREFIX_LEN,
     ContrapositiveCert,
     LemmaCert,
     ZiminDivisionCert,
@@ -26,6 +28,9 @@ from zimrev.oracle import WITNESS_OK, verify_witness_prefix
 from zimrev.words import GeneratedSpec, PeriodicSpec, ProductSpec, word
 from zimrev.zimin import is_zimin_factor
 from zimrev.morphisms import apply_symbolic
+
+# the package re-exports the decide function under the module's name
+decide_mod = importlib.import_module("zimrev.decide")
 
 
 def sharp_formula(slot_text: str) -> FormulaR:
@@ -109,6 +114,15 @@ class TestDecide:
         # a doubled one-way variable in one fragment blocks the division
         assert decide(parse("y x y . x~")).status == AVOIDABLE
 
+    def test_square_free_budget_exhaustion_is_not_fatal(self):
+        # the flat z x y z x y exhausts the square-free absence proof's step
+        # budget; decide must move on to the rest of the lemma battery
+        v = decide(parse("z x~ y~ z x y"))
+        assert v.status == AVOIDABLE
+        assert (v.m, v.n) == (2, 1)
+        assert isinstance(v.certificate, LemmaCert)
+        assert v.certificate.name == "one_way_twice"
+
     def test_mirror_free_formulas_match_classic_decision(self):
         from zimrev.classic import decide_classic
 
@@ -159,6 +173,11 @@ class TestLemmas:
         assert lemma_all_two_way(parse("x x~ . y y~")) is not None
         assert lemma_all_two_way(parse("x . x~")) is None
 
+    def test_all_two_way_single_variable_needs_adjacent_mirror_pair(self):
+        # x -> 12 sends x x . x~ to 1212 and 21, both factors of (12)^omega
+        assert lemma_all_two_way(parse("x x . x~")) is None
+        assert lemma_all_two_way(parse("x~ x . x")) is not None
+
     def test_one_way_twice_fires(self):
         cert = lemma_one_way_twice(parse("y x y . x~"))
         assert cert is not None and cert.name == "one_way_twice"
@@ -204,6 +223,21 @@ class TestWitnesses:
             assert cert is not None, text
             report = verify_witness_prefix(cert.witness, phi, prefix_len=120, image_bound=12)
             assert report.mode == WITNESS_OK, (text, report.detail)
+
+    def test_flat_witness_budget_exhaustion_means_no_witness(self, monkeypatch):
+        decide_mod._square_free_component(WITNESS_PREFIX_LEN)  # cached before the budget shrinks
+        monkeypatch.setattr(decide_mod, "_flat_witness_cache", {})
+        monkeypatch.setattr(decide_mod, "_WITNESS_STEPS", 1)
+        monkeypatch.setattr(
+            decide_mod, "search_avoiding_word", lambda *a: pytest.fail("avoider search ran")
+        )
+        assert decide_mod._flat_witness(parse("x x"), WITNESS_PREFIX_LEN) is None
+
+    def test_evidence_budget_exhaustion_falls_back_to_avoider_search(self, monkeypatch):
+        decide_mod._square_free_component(50)  # cached before the budget shrinks
+        monkeypatch.setattr(decide_mod, "_WITNESS_STEPS", 1)
+        found = decide_mod._search_evidence(parse("x x"), 50, 3)
+        assert found is not None and found.alphabet_size == 3
 
     def test_decide_certificates_never_contradict_division(self):
         # an unavoidable verdict and a verified lemma witness must not coexist

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from zimrev.morphisms import (
     occurs_common_image,
     pattern_is_factor_of_formula,
 )
+from zimrev.oracle import generate_power_free
 from zimrev.words import Word, is_factor, reverse, word
 from zimrev.zimin import enumerate_fragments
 
@@ -84,6 +86,16 @@ class TestOccurs:
         # no cube in the word, so the search must grind through candidates
         with pytest.raises(SearchBudgetExceeded):
             occurs(parse("x x x"), word("aabbaabbaabb"), SearchBudget(12, 3))
+
+    def test_pruned_candidates_still_cost_one_step_each(self):
+        # x y x y is absent from a square-free word; the absence proof at
+        # image bound 30 walks exactly 145825 candidates, pruned ones included
+        square_free = generate_power_free(3, Fraction(2), 300, SearchBudget(1, 10**6)).word
+        phi = parse("x y x y")
+        assert occurs(phi, square_free, SearchBudget(30, 145825)) is None
+        with pytest.raises(SearchBudgetExceeded) as info:
+            occurs(phi, square_free, SearchBudget(30, 145824))
+        assert info.value.steps == 145825
 
 
 class TestOccursCommonImage:
@@ -321,3 +333,29 @@ def test_engine_matches_naive_division_exhaustively(psi_text):
             phi = FormulaR([PatternR(combo)])
             engine = divides(phi, psi, FULL) is not None
             assert engine == _naive_divides(phi, psi), f"{phi} into {psi}"
+
+
+def _scan_occurs(phi, text):
+    """Plain scan over every assignment of factors of text to the variables
+    (reversed factors for a variable that only occurs mirrored)."""
+    factors = {text[i:j] for i in range(len(text)) for j in range(i + 1, len(text) + 1)}
+    variables = sorted({s.var for f in phi for s in f})
+    plain = {s.var for f in phi for s in f if not s.mirrored}
+    choices = [sorted(factors if v in plain else {u[::-1] for u in factors}) for v in variables]
+    for combo in itertools.product(*choices):
+        env = dict(zip(variables, combo))
+        if all("".join(env[s.var][::-1] if s.mirrored else env[s.var] for s in f) in text for f in phi):
+            return True
+    return False
+
+
+@settings(max_examples=400)
+@given(
+    st.lists(wide_patterns_st, min_size=1, max_size=3).map(FormulaR),
+    st.text("abc", min_size=1, max_size=8),
+)
+def test_occurs_matches_plain_scan(phi, text):
+    """The pruned occurrence search agrees with a plain scan over 3-letter
+    words with image cap |w|."""
+    found = occurs(phi, word(text), SearchBudget(len(text), 10**7)) is not None
+    assert found == _scan_occurs(phi, text)
