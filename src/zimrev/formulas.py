@@ -217,14 +217,6 @@ def classify_vars(phi: FormulaR) -> Dict[str, str]:
     return out
 
 
-def two_way_vars(phi: FormulaR) -> Set[str]:
-    return {v for v, tag in classify_vars(phi).items() if tag == TWO_WAY}
-
-
-def one_way_vars(phi: FormulaR) -> Set[str]:
-    return {v for v, tag in classify_vars(phi).items() if tag == ONE_WAY}
-
-
 def normalize(phi: FormulaR) -> FormulaR:
     """Flip variables that only ever appear mirrored, so every one-way
     variable appears unmirrored.  The result is equivalent to the input

@@ -4,9 +4,17 @@ Depth-first avoiding-word search, exhaustive encounter checks, bounded
 witness verification, and power-free word generation.  The avoider search
 prunes each extension with an end-anchored occurrence check (only images
 touching the new suffix are re-parsed) and runs a full occurrence check on
-candidate acceptance; power-free generation keeps per-period repetition runs
-incrementally and re-verifies the final word with the exponent scan, which
-shares no code with the pruning.
+candidate acceptance.  In that anchored check a variable that occurs once in
+the whole formula is a gap: once the symbols left of it in its fragment are
+bound, one ``str.find`` of their joined images over the window its length
+allows replaces the loop over its lengths.  Nothing else mentions the gap, so
+its length only moves where those symbols must end and cannot change the
+completion of the other fragments; the check returns the same boolean as the
+loop, and the DFS visits the same nodes.
+
+Power-free generation keeps per-period repetition runs incrementally and
+re-verifies the final word with the exponent scan, which shares no code with
+the pruning.
 """
 
 from __future__ import annotations
@@ -73,19 +81,40 @@ class _AnchoredMatcher:
     orientations cached), then complete the remaining fragments anywhere.
     A variable with k blocks in its fragment gets a per-variable length cap
     of (n - other_blocks) / k, which trims the length loops substantially.
+
+    A variable that occurs once in the whole formula is a gap when every
+    symbol left of it in its fragment is bound earlier in the plan: its
+    image may be any nonempty word up to its cap, so instead of looping over
+    its lengths the matcher joins the images of those left symbols into one
+    segment and asks ``str.find`` whether the segment ends somewhere in
+    ``[end - cap, end - 1]`` at or after position 0.  The gap variable is in
+    no other fragment, so the completion does not depend on its length and
+    runs once; every input gets the same answer as the length loop.
     """
 
     def __init__(self, frags):
+        uses: Dict[str, int] = {}
+        for frag in frags:
+            for s in frag:
+                uses[s.var] = uses.get(s.var, 0) + 1
         self.plans = []
         for i, frag in enumerate(frags):
             total = len(frag)
-            plan = tuple(
-                (s.var, s.mirrored, total - k - 1) for k, s in enumerate(frag[::-1])
-            )
+            plan = []
+            bound = set()
+            for k, s in enumerate(frag[::-1]):
+                tail = total - k - 1
+                left = frag[:tail]
+                # rest: for a gap, the symbols left of it in text order
+                rest = None
+                if uses[s.var] == 1 and all(t.var in bound for t in left):
+                    rest = tuple((t.var, t.mirrored) for t in left)
+                plan.append((s.var, s.mirrored, tail, rest))
+                bound.add(s.var)
             counts: Dict[str, int] = {}
             for s in frag:
                 counts[s.var] = counts.get(s.var, 0) + 1
-            self.plans.append((plan, counts, frags[:i] + frags[i + 1 :]))
+            self.plans.append((tuple(plan), counts, frags[:i] + frags[i + 1 :]))
 
     def occurrence_ending_at(self, text: str, cap: int) -> bool:
         """True iff the formula occurs in text with some fragment image
@@ -102,23 +131,27 @@ class _AnchoredMatcher:
                 return True
         return False
 
+    @staticmethod
+    def _complete(text, assignment, others, cap) -> bool:
+        if not others:
+            return True
+        completion = _ConcreteSearch(
+            others,
+            text,
+            cap=cap,
+            max_steps=_COMPLETION_STEPS,
+            fixed={var: entry[0] for var, entry in assignment.items()},
+        )
+        try:
+            return completion.run() is not None
+        except SearchBudgetExceeded:
+            # under-prune: the full check on candidate acceptance rules
+            return False
+
     def _match(self, plan, idx, text, end, caps, assignment, others, cap) -> bool:
         if idx == len(plan):
-            if not others:
-                return True
-            completion = _ConcreteSearch(
-                others,
-                text,
-                cap=cap,
-                max_steps=_COMPLETION_STEPS,
-                fixed={var: entry[0] for var, entry in assignment.items()},
-            )
-            try:
-                return completion.run() is not None
-            except SearchBudgetExceeded:
-                # under-prune: the full check on candidate acceptance rules
-                return False
-        var, mirrored, tail = plan[idx]
+            return self._complete(text, assignment, others, cap)
+        var, mirrored, tail, rest = plan[idx]
         entry = assignment.get(var)
         if entry is not None:
             if mirrored:
@@ -132,6 +165,21 @@ class _AnchoredMatcher:
             if start >= tail and text.startswith(seg, start, end):
                 return self._match(plan, idx + 1, text, start, caps, assignment, others, cap)
             return False
+        if rest is not None:
+            parts = []
+            for v, m in rest:
+                entry = assignment[v]
+                if m:
+                    if entry[1] is None:
+                        entry[1] = entry[0][::-1]
+                    parts.append(entry[1])
+                else:
+                    parts.append(entry[0])
+            seg = "".join(parts)
+            # seg must end at end - ln for some 1 <= ln <= caps[var]
+            if text.find(seg, max(0, end - caps[var] - len(seg)), end - 1) < 0:
+                return False
+            return self._complete(text, assignment, others, cap)
         limit = end - tail
         var_cap = caps[var]
         if var_cap < limit:

@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zimrev.formulas import FormulaR, parse
-from zimrev.morphisms import SearchBudget, occurs
+from zimrev.formulas import FormulaR, PatternR, Sym, parse
+from zimrev.morphisms import SearchBudget, _sorted_frags, occurs
 from zimrev.oracle import (
     AVOIDER_FOUND,
     BUDGET_EXHAUSTED,
     FAILED,
     TREE_EXHAUSTED,
     WITNESS_OK,
+    _AnchoredMatcher,
     all_words_encounter,
     generate_power_free,
     search_avoiding_word,
@@ -60,6 +61,68 @@ class TestSearchAvoidingWord:
     def test_empty_formula_has_no_avoider(self):
         report = search_avoiding_word(FormulaR(), 3, 10)
         assert report.mode == TREE_EXHAUSTED
+
+    def test_gap_matcher_keeps_tree_and_word(self):
+        # y occurs once: the anchored matcher finds its image with one str.find
+        # instead of a loop over its lengths; the DFS must not change
+        report = search_avoiding_word(parse("x x y x"), 3, 50, SearchBudget(50, 400_000))
+        assert report.mode == AVOIDER_FOUND
+        assert report.nodes == 265005
+        assert "".join(report.word.letters) == "12131213121312312321323132313213213212121222311133"
+
+
+def _anchored_scan(frags, text, cap):
+    """Plain scan: is there an occurrence with images of length <= cap in
+    which some fragment's image ends at the last letter of text?"""
+    n = len(text)
+    env = {}
+
+    def place(fi, anchored):
+        if fi == len(frags):
+            return anchored
+        frag = frags[fi]
+
+        def walk(k, pos):
+            if k == len(frag):
+                return place(fi + 1, anchored or pos == n)
+            s = frag[k]
+            if s.var in env:
+                seg = env[s.var][::-1] if s.mirrored else env[s.var]
+                return text.startswith(seg, pos) and walk(k + 1, pos + len(seg))
+            for ln in range(1, min(cap, n - pos) + 1):
+                seg = text[pos : pos + ln]
+                env[s.var] = seg[::-1] if s.mirrored else seg
+                if walk(k + 1, pos + ln):
+                    return True
+                del env[s.var]
+            return False
+
+        return any(walk(0, p) for p in range(n))
+
+    return place(0, False)
+
+
+_gap_formulas = st.lists(
+    # None is a fresh variable, so most formulas have once-occurring ones
+    st.lists(st.tuples(st.sampled_from(["x", "y", None]), st.booleans()), min_size=1, max_size=4),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=400)
+@given(_gap_formulas, st.text("abc", min_size=1, max_size=10))
+def test_anchored_matcher_matches_plain_scan(frags, text):
+    """The anchored matcher, gaps included, agrees with a plain scan on
+    every prefix of text and every cap from 1 to one past its length."""
+    fresh = iter(f"g{i}" for i in range(12))
+    phi = FormulaR([PatternR(tuple(Sym(var or next(fresh), m) for var, m in frag)) for frag in frags])
+    frags = _sorted_frags(phi)
+    matcher = _AnchoredMatcher(frags)
+    for n in range(1, len(text) + 1):
+        for cap in range(1, n + 2):
+            expected = _anchored_scan(frags, text[:n], cap)
+            assert matcher.occurrence_ending_at(text[:n], cap) == expected, (text[:n], cap)
 
 
 class TestAllWordsEncounter:
