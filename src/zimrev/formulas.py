@@ -104,6 +104,11 @@ class FormulaR:
 
 EMPTY_FORMULA = FormulaR()
 
+# One Sym object per (name, mark) read by ``parse``: formulas keep their
+# symbols, and a parsed batch then holds one object per distinct symbol
+# instead of one per occurrence.
+_parsed_syms: Dict[Tuple[str, bool], Sym] = {}
+
 
 def pattern(text: str) -> PatternR:
     """Parse a single fragment, e.g. ``"x y~ x"``."""
@@ -122,7 +127,8 @@ def parse(text: str) -> FormulaR:
     """Parse formula text: fragments separated by ".", symbols by whitespace.
 
     A symbol is an identifier optionally suffixed by "~" for the mirror
-    image; "{}" denotes the empty formula.
+    image; "{}" denotes the empty formula.  Equal symbols come back as one
+    shared ``Sym`` object, across fragments and across calls.
     """
     if text.strip() == "{}":
         return EMPTY_FORMULA
@@ -161,7 +167,10 @@ def parse(text: str) -> FormulaR:
         if pos < n and text[pos] == "~":
             mirrored = True
             pos += 1
-        syms.append(Sym(name, mirrored))
+        sym = _parsed_syms.get((name, mirrored))
+        if sym is None:
+            sym = _parsed_syms[(name, mirrored)] = Sym(name, mirrored)
+        syms.append(sym)
     close_fragment(fragment_start)
     return FormulaR(fragments)
 

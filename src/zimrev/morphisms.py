@@ -19,6 +19,24 @@ viable is exactly one the fragment's own prefix test would reject; it skips
 the refresh and the recursion but still costs one step, so the budget runs
 out at the same step as without the lookahead.
 
+Both searches run over interned text, one character per letter or symbol,
+ordered so that comparing same-length texts compares canonical keys.  A
+division target (an explicit formula, or the Zimin slot template) codes a
+symbol as ``0x100 + 2*rank + mirrored``, rank being the variable name's
+place in sorted order, and also supplies a ``blind`` translate table: the
+identity for an explicit formula, whose fragments are joined by a separator
+no candidate contains, and for the template the map that sends both
+orientations of an X variable to one character, since an X slot matches
+either.  The division search tests blind texts with ``str.startswith``.
+Candidates with the same blind text form an orientation class; no test of
+the target tells them apart, and their d-reversals also differ only in X
+marks, so every member has the same subtree with the same positions, steps
+and outcome.  The class is explored once, at its first member in candidate
+order (the one with every X unmarked), and each later member is charged one
+step plus that subtree's steps at its place in the order.  The first
+witness, the step count and the point where the budget runs out are those
+of exploring every member.
+
 Image lengths are capped at the sound bound (|w| for occurrences, the longest
 fragment of the target for divisions): a completed search at that bound is a
 proof of absence.  Exceeding the step budget raises, which keeps "ran out of
@@ -28,7 +46,7 @@ budget" distinct from "definitely absent".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .formulas import FormulaR, PatternR, Sym, d_reverse_syms
 from .words import Letter, Word, is_factor, letter_key, reverse
@@ -363,167 +381,262 @@ def occurs_common_image(
 # Symbolic division search, generic over the target: an explicit formula or
 # an implicit Zimin-with-reversal slot template (see zimin module).
 
+_SEPARATOR = "."  # joins target fragments; no symbol code is below 0x100
+_FOREIGN = "?"  # a fixed image's symbol that the target lacks; matches nothing
 
-class FormulaTarget:
-    """Division target backed by an explicit fragment list."""
+
+class _InternedTarget:
+    """A division target interned as text, one character per symbol.
+
+    A symbol's code is ``chr(0x100 + 2*rank + mirrored)``, where ``rank`` is
+    the variable name's position in sorted order, so same-length texts
+    compare like their symbols' keys.  ``blind`` is a translate table that
+    sends the marked code of every variable in ``merged`` to its unmarked
+    code: the target's factor test ignores those marks.  ``text`` is the
+    blind text of the fragments joined by a separator, and ``ends[p]`` is the
+    end of the fragment holding position p (p itself for a separator).
+    """
+
+    def __init__(self, frags: Sequence[Tuple[Sym, ...]], merged: Iterable[str] = ()):
+        names = sorted({s.var for frag in frags for s in frag})
+        merged = set(merged)
+        self.codes: Dict[Sym, str] = {
+            Sym(name, mirrored): chr(0x100 + 2 * rank + mirrored)
+            for rank, name in enumerate(names)
+            for mirrored in (False, True)
+        }
+        self.back = {c: s for s, c in self.codes.items()}
+        self.blind = {
+            ord(c): self.codes[Sym(s.var, False)]
+            for s, c in self.codes.items()
+            if s.mirrored and s.var in merged
+        }
+        # toggles each mark, then blinds: applied to a reversed blind text,
+        # it gives the blind text of the d-reversal
+        self.flip = {
+            ord(c): self.codes[s.toggled()].translate(self.blind) for s, c in self.codes.items()
+        }
+        # deletes every character except the blind codes of merged variables
+        self.unmerged = {
+            ord(c): None for s, c in self.codes.items() if s.mirrored or s.var not in merged
+        }
+        pieces = [self.intern(frag) for frag in frags]
+        self.text = _SEPARATOR.join(pieces)
+        ends: List[int] = []
+        for piece in pieces:
+            if ends:
+                ends.append(len(ends))
+            ends.extend([len(ends) + len(piece)] * len(piece))
+        self.ends = ends
+        self.max_fragment_len = max(map(len, pieces), default=0)
+
+    def intern(self, syms: Iterable[Sym]) -> str:
+        codes = self.codes
+        return "".join(codes.get(s, _FOREIGN) for s in syms).translate(self.blind)
+
+    def extern(self, text: str) -> Tuple[Sym, ...]:
+        return tuple(self.back[c] for c in text)
+
+
+class FormulaTarget(_InternedTarget):
+    """Division target backed by an explicit fragment list; every mark counts."""
 
     def __init__(self, psi: FormulaR):
-        self.frags = [f.syms for f in psi.fragments]
-        self.max_fragment_len = max((len(f) for f in self.frags), default=0)
+        super().__init__([f.syms for f in psi.fragments])
 
-    def initial_positions(self, min_len: int):
-        return [
-            (j, s)
-            for j, frag in enumerate(self.frags)
-            for s in range(len(frag) - min_len + 1)
-        ]
 
-    def match(self, pos, offset: int, segment: Tuple[Sym, ...]) -> bool:
-        j, s = pos
-        frag = self.frags[j]
-        start = s + offset
-        end = start + len(segment)
-        return end <= len(frag) and frag[start:end] == segment
+def _common_prefix(a: str, b: str) -> int:
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
 
-    def available(self, pos, offset: int) -> int:
-        j, s = pos
-        return len(self.frags[j]) - s - offset
 
-    def continuations(self, pos, offset: int, max_len: int) -> Iterable[Tuple[Sym, ...]]:
-        j, s = pos
-        frag = self.frags[j]
-        start = s + offset
-        limit = min(max_len, len(frag) - start)
-        for ln in range(1, limit + 1):
-            yield frag[start : start + ln]
-
-    def contains(self, syms: Tuple[Sym, ...]) -> bool:
-        ln = len(syms)
-        for frag in self.frags:
-            for i in range(len(frag) - ln + 1):
-                if frag[i : i + ln] == syms:
-                    return True
-        return False
+def _by_length(text: str):
+    return len(text), text
 
 
 class _SymbolicSearch:
-    def __init__(self, frags, target, cap, max_steps, fixed=None):
+    """Division search over a target's blind text.
+
+    Images are blind texts; each stands for its orientation class, the
+    2**k candidates (k = merged symbols in it) that differ from it only in
+    merged marks.  The class is explored once, at its first member, and
+    every later member is charged the steps that exploration took.
+    """
+
+    def __init__(self, frags, target: _InternedTarget, cap, max_steps, fixed=None):
         self.frags = frags
         self.target = target
+        self.text = target.text
+        self.ends = target.ends
         self.cap = min(cap, target.max_fragment_len)
         self.max_steps = max_steps
-        self.fixed = fixed or {}
         self.order, self.frontier = _variable_order(frags)
         self.steps = 0
+        self.mirrored = {s.var for frag in frags for s in frag if s.mirrored}
+        # var -> (blind image, blind d-reversal if var occurs mirrored),
+        # indexed by the mirror mark
+        self.images: Dict[str, Tuple[str, Optional[str]]] = {}
+        for var, syms in (fixed or {}).items():
+            self._bind(var, target.intern(syms))
 
-    def run(self) -> Optional[Dict[str, Tuple[Sym, ...]]]:
+    def _bind(self, var: str, img: str):
+        rev = img[::-1].translate(self.target.flip) if var in self.mirrored else None
+        self.images[var] = (img, rev)
+
+    def _charge(self, steps: int):
+        self.steps += steps
+        if self.steps > self.max_steps:
+            raise SearchBudgetExceeded(self.max_steps + 1)
+
+    def run(self) -> Optional[Dict[str, str]]:
         if not self.frags:
             return {}
+        ends = self.ends
         state = []
         for frag in self.frags:
-            positions = tuple(self.target.initial_positions(len(frag)))
+            need = len(frag)
+            positions = tuple(p for p in range(len(ends)) if p + need <= ends[p])
             if not positions:
                 return None
-            state.append((0, (), positions))
-        assignment: Dict[str, Tuple[Sym, ...]] = {}
-        if self.fixed:
-            assignment.update(self.fixed)
-            state = self._refresh(assignment, state)
+            state.append((0, "", positions))
+        if self.images:
+            state = self._refresh(state)
             if state is None:
                 return None
-        return self._extend(assignment, state, 0)
+        if not self._extend(state, 0):
+            return None
+        return {var: img for var, (img, _) in self.images.items()}
 
-    def _refresh(self, assignment, state):
+    def _refresh(self, state):
         new_state = []
-        target = self.target
+        images = self.images
+        text = self.text
+        ends = self.ends
         for (count, img, positions), frag in zip(state, self.frags):
             new_count = count
-            parts: List[Sym] = []
-            while new_count < len(frag) and frag[new_count].var in assignment:
-                piece = assignment[frag[new_count].var]
-                parts.extend(d_reverse_syms(piece) if frag[new_count].mirrored else piece)
+            parts = []
+            while new_count < len(frag) and frag[new_count].var in images:
+                sym = frag[new_count]
+                parts.append(images[sym.var][sym.mirrored])
                 new_count += 1
             if new_count == count:
                 new_state.append((count, img, positions))
                 continue
-            seg = tuple(parts)
-            new_img = img + seg
+            seg = "".join(parts)
             old_len = len(img)
-            tail_min = len(frag) - new_count
+            need = old_len + len(seg) + len(frag) - new_count
             kept = tuple(
-                p
-                for p in positions
-                if target.available(p, 0) >= len(new_img) + tail_min
-                and target.match(p, old_len, seg)
+                p for p in positions if p + need <= ends[p] and text.startswith(seg, p + old_len)
             )
             if not kept:
                 return None
-            new_state.append((new_count, new_img, kept))
+            new_state.append((new_count, img + seg, kept))
         return new_state
 
-    def _extend(self, assignment, state, idx):
+    def _extend(self, state, idx) -> bool:
         if idx == len(self.order):
-            return dict(assignment)
+            return True
         var = self.order[idx]
-        if var in assignment:
-            return self._extend(assignment, state, idx + 1)
+        if var in self.images:
+            return self._extend(state, idx + 1)
         gi, off = self.frontier[var]
         frag = self.frags[gi]
         _, img, positions = state[gi]
         start_off = len(img)
-        mirrored = frag[off].mirrored
         tail_min = len(frag) - off - 1
+        text = self.text
+        ends = self.ends
         cands = set()
         for p in positions:
-            limit = min(self.cap, self.target.available(p, start_off) - tail_min)
-            if limit < 1:
-                continue
-            for seg in self.target.continuations(p, start_off, limit):
-                cands.add(d_reverse_syms(seg) if mirrored else seg)
-        key = lambda syms: (len(syms), tuple(s.key() for s in syms))
-        for cand in sorted(cands, key=key):
-            self.steps += 1
-            if self.steps > self.max_steps:
-                raise SearchBudgetExceeded(self.steps)
-            assignment[var] = cand
-            new_state = self._refresh(assignment, state)
-            if new_state is not None:
-                result = self._extend(assignment, new_state, idx + 1)
-                if result is not None:
-                    return result
-            del assignment[var]
-        return None
+            start = p + start_off
+            for end in range(start + 1, min(start + self.cap, ends[p] - tail_min) + 1):
+                cands.add(text[start:end])
+        if frag[off].mirrored:
+            flip = self.target.flip
+            cands = {c[::-1].translate(flip) for c in cands}
+        merges = bool(self.target.blind)
+        unmerged = self.target.unmerged
+        # classes run so far whose later members are not all charged yet:
+        # [text, common prefix with the last text run, members charged,
+        #  members, steps per member]
+        owed = []
+        last = ""
+        for cand in sorted(cands, key=_by_length):
+            if owed:
+                self._settle(owed, _common_prefix(last, cand) if len(last) == len(cand) else 0)
+            self._charge(1)
+            before = self.steps
+            self._bind(var, cand)
+            new_state = self._refresh(state)
+            if new_state is not None and self._extend(new_state, idx + 1):
+                return True
+            del self.images[var]
+            members = 1 << len(cand.translate(unmerged)) if merges else 1
+            if members > 1:
+                owed.append([cand, len(cand), 1, members, 1 + self.steps - before])
+            last = cand
+        if owed:
+            self._settle(owed, 0)
+        return False
+
+    def _settle(self, owed, shared: int):
+        """Charge the members of the owed classes that come before the next
+        text, which shares its first ``shared`` characters with the last.
+
+        A member of an earlier class A precedes the unmarked text of a
+        later class C exactly when it leaves the merged symbols of their
+        common prefix unmarked, so 2**k of A's members do, k counting the
+        merged symbols of A after that prefix.
+        """
+        unmerged = self.target.unmerged
+        for entry in owed:
+            cand, prefix, charged, _, cost = entry
+            if prefix > shared:
+                due = 1 << len(cand[shared:].translate(unmerged))
+                self._charge((due - charged) * cost)
+                entry[1] = shared
+                entry[2] = due
+        owed[:] = [entry for entry in owed if entry[2] < entry[3]]
 
 
 def _run_symbolic(
     phi: FormulaR,
-    target,
+    target: _InternedTarget,
+    contains: Callable[[PatternR], bool],
     budget: Optional[SearchBudget],
     fixed: Optional[Dict[str, PatternR]] = None,
 ) -> Optional[SymbolicMorphism]:
     budget = budget or SearchBudget()
     if not phi:
         return SymbolicMorphism({})
-    fixed_syms = {var: img.syms for var, img in fixed.items()} if fixed else None
+    fixed = fixed or {}
     search = _SymbolicSearch(
         _sorted_frags(phi),
         target,
         cap=budget.max_image_len,
         max_steps=budget.max_steps,
-        fixed=fixed_syms,
+        fixed={var: img.syms for var, img in fixed.items()},
     )
     raw = search.run()
     if raw is None:
         return None
-    morphism = SymbolicMorphism({var: PatternR(syms) for var, syms in raw.items()})
-    _verify_symbolic(morphism, phi, target)
+    assignment = dict(fixed)
+    for var, img in raw.items():
+        if var not in fixed:
+            assignment[var] = PatternR(target.extern(img))
+    morphism = SymbolicMorphism(assignment)
+    _verify_symbolic(morphism, phi, contains)
     return morphism
 
 
-def _verify_symbolic(h: SymbolicMorphism, phi: FormulaR, target):
+def _verify_symbolic(h: SymbolicMorphism, phi: FormulaR, contains: Callable[[PatternR], bool]):
     for frag in phi:
         img = apply_symbolic(h, frag)
-        if not target.contains(img.syms):
+        if not contains(img):
             raise AssertionError(f"search returned a non-witness: {frag} -> {img}")
 
 
@@ -539,7 +652,9 @@ def divides(
     With ``max_image_len`` at least the longest fragment of psi, None is a
     proof of non-division (longer images cannot be factors).
     """
-    return _run_symbolic(phi, FormulaTarget(psi), budget, fixed=fixed)
+    return _run_symbolic(
+        phi, FormulaTarget(psi), lambda u: pattern_is_factor_of_formula(u, psi), budget, fixed
+    )
 
 
 def equivalent(phi: FormulaR, psi: FormulaR, budget: Optional[SearchBudget] = None) -> bool:

@@ -6,16 +6,21 @@ Z(m, n) = Z(m, n-1) y_n Z(m, n-1).  The fragment set explodes as
 sequence of slots where an X slot matches either orientation of its variable
 and a y slot matches exactly its one-way variable.  Explicit enumeration
 exists for cross-validation and tiny cases only.
+
+Division into Z(m, n) runs the shared division search (morphisms module) on
+the template interned once per (m, n) as text, with the two orientations of
+every X variable merged into one character; candidates that differ only in
+X marks then form one orientation class, explored once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .formulas import EMPTY_FORMULA, FormulaR, PatternR, Sym
-from .morphisms import SearchBudget, SymbolicMorphism, _run_symbolic
+from .morphisms import SearchBudget, SymbolicMorphism, _InternedTarget, _run_symbolic
 
 ENUMERATION_GUARD = 65536
 
@@ -131,52 +136,22 @@ def enumerate_fragments(m: int, n: int) -> FormulaR:
     return FormulaR(fragments)
 
 
-class TemplateTarget:
+class TemplateTarget(_InternedTarget):
     """Division target backed by the implicit slot template.
 
-    X slots match either orientation, so continuations branch over the
-    orientation choices (unmirrored first, which keeps the candidate order
-    canonical).
+    The template is interned as one fragment with every X slot unmarked, and
+    both orientations of each x_i are merged: an X slot matches either, so
+    the search tests the blind text and explores each orientation class of
+    candidates once.  A y slot matches only its unmarked variable, so a
+    mirrored y never matches.
     """
 
     def __init__(self, tpl: ZiminTemplate):
-        self.tpl = tpl
-        self.max_fragment_len = tpl.length
+        syms = tuple(Sym(x_name(i) if kind == "x" else y_name(i)) for kind, i in tpl.slots)
+        super().__init__([syms], merged=[x_name(i) for i in range(1, tpl.m + 1)])
 
-    def initial_positions(self, min_len: int):
-        return range(self.tpl.length - min_len + 1)
 
-    def match(self, pos: int, offset: int, segment: Tuple[Sym, ...]) -> bool:
-        start = pos + offset
-        if start + len(segment) > self.tpl.length:
-            return False
-        return self.tpl.window_matches(start, segment)
-
-    def available(self, pos: int, offset: int) -> int:
-        return self.tpl.length - pos - offset
-
-    def continuations(self, pos: int, offset: int, max_len: int) -> Iterable[Tuple[Sym, ...]]:
-        slots = self.tpl.slots
-        start = pos + offset
-        limit = min(max_len, len(slots) - start)
-        choices: List[Tuple[Sym, ...]] = []
-        for k in range(start, start + limit):
-            kind, i = slots[k]
-            if kind == "x":
-                choices.append((Sym(x_name(i), False), Sym(x_name(i), True)))
-            else:
-                choices.append((Sym(y_name(i), False),))
-        prefixes: List[Tuple[Sym, ...]] = [()]
-        for opts in choices:
-            prefixes = [p + (s,) for p in prefixes for s in opts]
-            yield from prefixes
-
-    def contains(self, syms: Tuple[Sym, ...]) -> bool:
-        tpl = self.tpl
-        ln = len(syms)
-        if ln > tpl.length:
-            return False
-        return any(tpl.window_matches(t, syms) for t in range(tpl.length - ln + 1))
+_target_cache: Dict[Tuple[int, int], TemplateTarget] = {}
 
 
 def divides_zimin(
@@ -188,7 +163,10 @@ def divides_zimin(
     are capped at the fragment length, so None at that bound is a proof of
     non-division.
     """
-    return _run_symbolic(phi, TemplateTarget(template(m, n)), budget)
+    key = (m, n)
+    if key not in _target_cache:
+        _target_cache[key] = TemplateTarget(template(m, n))
+    return _run_symbolic(phi, _target_cache[key], lambda u: is_zimin_factor(u, m, n), budget)
 
 
 def sufficient_length(m: int, n: int, k: int) -> int:

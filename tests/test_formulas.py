@@ -36,6 +36,22 @@ def test_parse_single_symbol():
     assert parse("x") == FormulaR([PatternR((Sym("x"),))])
 
 
+def test_parse_interns_symbols():
+    first = parse("x y~ x . y~ x")
+    again = parse("y~ x x")
+    syms = [s for phi in (first, again) for frag in phi for s in frag]
+    by_key = {}
+    for s in syms:
+        assert by_key.setdefault(s.key(), s) is s
+    assert len(by_key) == 2
+
+
+def test_interned_symbols_compare_and_hash_by_value():
+    parsed = parse("x~").fragments[0].syms[0]
+    assert Sym("x", True) == parsed
+    assert hash(Sym("x", True)) == hash(parsed)
+
+
 def test_parse_empty_formula():
     assert parse("{}") == EMPTY_FORMULA
     assert str(EMPTY_FORMULA) == "{}"

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zimrev.formulas import EMPTY_FORMULA, PatternR, Sym, parse, pattern
-from zimrev.morphisms import apply_symbolic
+from zimrev.morphisms import SearchBudget, SearchBudgetExceeded, apply_symbolic
 from zimrev.zimin import (
     divides_zimin,
     enumerate_fragments,
@@ -125,23 +125,44 @@ class TestDividesZimin:
         for frag in phi:
             assert is_zimin_factor(apply_symbolic(h, frag), 1, 1)
 
-    @pytest.mark.parametrize("m,n", [(1, 0), (1, 1), (2, 0)])
+    @pytest.mark.parametrize("m,n", [(1, 0), (1, 1), (2, 0), (1, 2), (2, 1)])
     def test_template_division_agrees_with_explicit_division(self, m, n):
-        """Dual route: dividing the implicit template must coincide with
-        dividing the enumerated fragment formula, over a small universe."""
+        """Dual route: dividing the implicit template must give the same
+        morphism as dividing the enumerated fragment formula, over a small
+        universe."""
         import itertools as it
 
         from zimrev.morphisms import divides
         from zimrev.formulas import FormulaR, PatternR, Sym
 
         target = enumerate_fragments(m, n)
-        syms = [Sym("x", False), Sym("x", True), Sym("y", False)]
-        for length in range(1, 4):
+        syms = [Sym("x", False), Sym("x", True), Sym("y", False), Sym("y", True)]
+        for length in range(1, 5):
             for combo in it.product(syms, repeat=length):
                 phi = FormulaR([PatternR(combo)])
-                via_template = divides_zimin(phi, m, n) is not None
-                via_fragments = divides(phi, target) is not None
-                assert via_template == via_fragments, str(phi)
+                via_template = divides_zimin(phi, m, n)
+                via_fragments = divides(phi, target)
+                assert (via_template and via_template.to_json()) == (
+                    via_fragments and via_fragments.to_json()
+                ), str(phi)
+
+    def test_step_budget_edge_on_a_sharp_window(self):
+        """Every orientation sibling of a failed candidate costs its steps:
+        the sharp window needs exactly 12767 steps."""
+        marks = itertools.product(("", "~"), repeat=3)
+        phi = parse(" . ".join("y1 x1%s x2%s x3%s y2" % bits for bits in marks))
+        h = divides_zimin(phi, 3, 2, SearchBudget(15, 12767))
+        assert h.to_json() == {v: v for v in ("x1", "x2", "x3", "y1", "y2")}
+        with pytest.raises(SearchBudgetExceeded) as info:
+            divides_zimin(phi, 3, 2, SearchBudget(15, 12766))
+        assert info.value.steps == 12767
+
+    def test_step_budget_edge_on_an_absence_proof(self):
+        phi = parse("a c c b a d c d e c d e e b")
+        assert divides_zimin(phi, 0, 5, SearchBudget(31, 1209)) is None
+        with pytest.raises(SearchBudgetExceeded) as info:
+            divides_zimin(phi, 0, 5, SearchBudget(31, 1208))
+        assert info.value.steps == 1209
 
 
 class TestSufficientLength:
