@@ -17,9 +17,16 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .classic import decide_classic
-from .decide import UNKNOWN, decide
+from .decide import EVIDENCE_LENGTH, EVIDENCE_MAX_ALPHABET, UNKNOWN, WITNESS_PREFIX_LEN, decide
 from .formulas import FormulaSyntaxError, flatten, parse
-from .morphisms import SearchBudget, SearchBudgetExceeded, divides, occurs
+from .morphisms import (
+    DEFAULT_MAX_IMAGE_LEN,
+    DEFAULT_MAX_STEPS,
+    SearchBudget,
+    SearchBudgetExceeded,
+    divides,
+    occurs,
+)
 from .oracle import generate_power_free
 from .words import word, word_to_json
 from .zimin import enumerate_fragments, stats, template
@@ -224,11 +231,11 @@ def _common_flags() -> argparse.ArgumentParser:
     the subparser from clobbering values given up front."""
     suppress = argparse.SUPPRESS
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--max-image-len", type=int, default=suppress, help="image length budget (default 16)")
+    p.add_argument("--max-image-len", type=int, default=suppress, help=f"image length budget (default {DEFAULT_MAX_IMAGE_LEN})")
     p.add_argument("--max-steps", type=int, default=suppress, help="search step budget (default 1e7)")
-    p.add_argument("--witness-len", type=int, default=suppress, help="generated witness prefix length (default 300)")
-    p.add_argument("--alphabet-size", type=int, default=suppress, help="largest alphabet for evidence searches (default 5)")
-    p.add_argument("--max-word-len", type=int, default=suppress, help="evidence avoiding-word length (default 50)")
+    p.add_argument("--witness-len", type=int, default=suppress, help=f"generated witness prefix length (default {WITNESS_PREFIX_LEN})")
+    p.add_argument("--alphabet-size", type=int, default=suppress, help=f"largest alphabet for evidence searches (default {EVIDENCE_MAX_ALPHABET})")
+    p.add_argument("--max-word-len", type=int, default=suppress, help=f"evidence avoiding-word length (default {EVIDENCE_LENGTH})")
     p.add_argument("--jobs", type=int, default=suppress, help="parallel corpus workers (default: cores)")
     p.add_argument("--pretty", action="store_true", default=suppress, help="indent JSON output")
     p.add_argument("--json", action="store_true", default=suppress, help="compact JSON output (default)")
@@ -236,11 +243,11 @@ def _common_flags() -> argparse.ArgumentParser:
 
 
 FLAG_DEFAULTS = {
-    "max_image_len": 16,
-    "max_steps": 10_000_000,
-    "witness_len": 300,
-    "alphabet_size": 5,
-    "max_word_len": 50,
+    "max_image_len": DEFAULT_MAX_IMAGE_LEN,
+    "max_steps": DEFAULT_MAX_STEPS,
+    "witness_len": WITNESS_PREFIX_LEN,
+    "alphabet_size": EVIDENCE_MAX_ALPHABET,
+    "max_word_len": EVIDENCE_LENGTH,
     "pretty": False,
     "json": False,
 }

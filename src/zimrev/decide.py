@@ -59,7 +59,8 @@ WITNESS_IMAGE_BOUND = 30
 
 _WITNESS_STEPS = 2_000_000
 _AVOIDER_STEPS = 150_000  # per alphabet size; a stuck tree just moves on
-_EVIDENCE_LENGTH = 50
+EVIDENCE_LENGTH = 50
+EVIDENCE_MAX_ALPHABET = 5
 
 # Avoidability over k letters implies avoidability over k+1 (the same word
 # works), so starting at 3 only skips alphabets a ternary success would
@@ -360,7 +361,7 @@ def build_witness(cert: Certificate) -> OmegaWordSpec:
 
 
 def _search_evidence(phi: FormulaR, length: int, max_alphabet: int) -> Optional[EvidenceCert]:
-    if max_alphabet >= 3 and length == _EVIDENCE_LENGTH:
+    if max_alphabet >= 3 and length == EVIDENCE_LENGTH:
         # a fast path that runs out of budget is no evidence; the bounded
         # avoider loop below still gets its turn
         square_free = _square_free_component(length)
@@ -381,8 +382,8 @@ def decide(
     *,
     evidence: bool = False,
     witness_prefix_len: int = WITNESS_PREFIX_LEN,
-    evidence_length: int = _EVIDENCE_LENGTH,
-    evidence_max_alphabet: int = 5,
+    evidence_length: int = EVIDENCE_LENGTH,
+    evidence_max_alphabet: int = EVIDENCE_MAX_ALPHABET,
 ) -> Verdict:
     """Decide avoidability of a formula with reversal.
 

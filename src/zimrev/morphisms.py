@@ -14,10 +14,21 @@ enumeration order.
 The occurrence search also looks ahead of the frontier: the symbols right
 after the new variable's stamping occurrence that are already bound (or are
 that variable again) have known images, so a candidate is viable only if the
-text continues with them at one of its positions.  A candidate that is not
-viable is exactly one the fragment's own prefix test would reject; it skips
-the refresh and the recursion but still costs one step, so the budget runs
-out at the same step as without the lookahead.
+text continues with them at one of its positions.  When the first of them is
+bound, its image must start where the candidate ends, so ``str.find`` lists
+the viable ends from each position; otherwise every length is tried.  A
+candidate that is not viable is exactly one the fragment's own prefix test
+would reject, and it is counted, not built.  The candidates from a position
+are the prefixes of the longest one, S_p (reversed for a mirrored frontier,
+which changes no count), so over the sorted S_p there are
+sum |S_p| - sum LCP(neighbours) of them.  The same sums clipped at L - 1
+count the candidates shorter than L; a viable candidate of length L comes
+after those and after the length-L candidates that sort before it.  Every
+candidate still costs one step in (length, text) order: the rejected ones
+between two viable candidates, and those after the last, are charged in one
+go, and a charge that passes the budget raises with the first step over it.
+The step count, the first witness and the step at which the budget runs out
+are therefore those of walking every candidate one at a time.
 
 Both searches run over interned text, one character per letter or symbol,
 ordered so that comparing same-length texts compares canonical keys.  A
@@ -45,7 +56,9 @@ budget" distinct from "definitely absent".
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .formulas import FormulaR, PatternR, Sym, d_reverse_syms
@@ -166,6 +179,33 @@ def _sorted_frags(phi: FormulaR) -> List[Tuple[Sym, ...]]:
     return [f.syms for f in sorted(phi.fragments, key=lambda f: (-len(f), f.key()))]
 
 
+def _common_prefix(a: str, b: str) -> int:
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
+
+
+def _by_length(text: str):
+    return len(text), text
+
+
+class _Budgeted:
+    """Step accounting shared by both searches."""
+
+    steps: int
+    max_steps: int
+
+    def _charge(self, steps: int):
+        """Spend steps; past the budget, raise with the first step over it,
+        as charging them one at a time would."""
+        self.steps += steps
+        if self.steps > self.max_steps:
+            raise SearchBudgetExceeded(self.max_steps + 1)
+
+
 # ---------------------------------------------------------------------------
 # Concrete occurrence search.  The word is interned into a string whose
 # character order follows the letter order, so substring slices compare and
@@ -184,7 +224,7 @@ def _extern(text: str, back: List[Letter]) -> Word:
     return Word(tuple(back[ord(c) - 0x100] for c in text))
 
 
-class _ConcreteSearch:
+class _ConcreteSearch(_Budgeted):
     def __init__(
         self,
         frags: List[Tuple[Sym, ...]],
@@ -235,13 +275,9 @@ class _ConcreteSearch:
                 continue
             seg = "".join(parts)
             new_img = img + seg
-            old_len, new_len = len(img), len(new_img)
-            tail_min = len(frag) - new_count
-            kept = tuple(
-                p
-                for p in positions
-                if p + new_len + tail_min <= self.n and text[p + old_len : p + new_len] == seg
-            )
+            old_len = len(img)
+            last = self.n - len(new_img) - (len(frag) - new_count)  # leaves room for the rest
+            kept = tuple(p for p in positions if p <= last and text.startswith(seg, p + old_len))
             if not kept:
                 return None
             new_state.append((new_count, new_img, kept))
@@ -279,32 +315,46 @@ class _ConcreteSearch:
                 ahead.append((piece[::-1] if s.mirrored else piece, False))
             k += 1
         rest_min = len(frag) - k
-        # candidate -> viable: some position continues with the lookahead images
-        cands: Dict[str, bool] = {}
+        # a bound first lookahead image must start where the candidate ends,
+        # so str.find lists the viable ends; otherwise every length is tried
+        lead = ahead[0][0] if ahead else None
+        checks = ahead[1:] if lead else ahead
+        skip = len(lead) if lead else 0
+        segs = []  # the longest candidate from each position, text orientation
+        viable = set()
         for p in positions:
             start = p + start_off
             limit = min(self.cap, n - start - tail_min)
-            for ln in range(1, limit + 1):
-                end = start + ln
+            if limit < 1:
+                continue
+            segs.append(text[start : start + limit])
+            if lead:
+                ends = _find_all(text, lead, start + 1, start + limit + skip)
+            else:
+                ends = range(start + 1, start + limit + 1)
+            for end in ends:
                 seg = text[start:end]
                 cand = seg[::-1] if mirrored else seg
-                if cands.get(cand):
+                if cand in viable:
                     continue
-                for piece, rev in ahead:
+                end += skip
+                for piece, rev in checks:
                     if piece is None:
                         piece = cand[::-1] if rev else cand
                     if not text.startswith(piece, end):
-                        cands[cand] = False
                         break
                     end += len(piece)
                 else:
-                    cands[cand] = end + rest_min <= n
-        for cand in sorted(cands, key=lambda s: (len(s), s)):
-            self.steps += 1
-            if self.steps > self.max_steps:
-                raise SearchBudgetExceeded(self.steps)
-            if not cands[cand]:
-                continue
+                    if end + rest_min <= n:
+                        viable.add(cand)
+        order = sorted(viable, key=_by_length)
+        total, ranks = _candidate_ranks(segs, order, mirrored)
+        # every candidate costs one step in (length, text) order; the ones
+        # between two viable candidates are charged in one go
+        done = 0
+        for cand, rank in zip(order, ranks):
+            self._charge(rank - done)
+            done = rank
             assignment[var] = cand
             new_state = self._refresh(assignment, state)
             if new_state is not None:
@@ -312,7 +362,51 @@ class _ConcreteSearch:
                 if result is not None:
                     return result
             del assignment[var]
+        self._charge(total - done)
         return None
+
+
+def _find_all(text: str, piece: str, lo: int, hi: int) -> List[int]:
+    """Every start of piece in text[lo:hi]."""
+    found = []
+    i = text.find(piece, lo, hi)
+    while i >= 0:
+        found.append(i)
+        i = text.find(piece, i + 1, hi)
+    return found
+
+
+def _candidate_ranks(segs: List[str], viable: List[str], mirrored: bool):
+    """Count the candidates, the distinct nonempty prefixes of segs (reversed
+    when mirrored, which changes no count), and place each viable one,
+    given in (length, text) order, at its 1-based position in that order.
+
+    Over the sorted segs and their neighbours' common prefixes, the distinct
+    prefixes shorter than L number sum(min(|s|, L - 1)) - sum(min(lcp, L - 1)).
+    """
+    segs.sort()
+    lcps = [_common_prefix(a, b) for a, b in zip(segs, segs[1:])]
+    total = sum(map(len, segs)) - sum(lcps)
+    if not viable or len(viable) == total:  # nothing to place
+        return total, range(1, len(viable) + 1)
+    lens = sorted(map(len, segs))
+    lcps.sort()
+    lens_acc = [0, *accumulate(lens)]
+    lcps_acc = [0, *accumulate(lcps)]
+
+    def clipped(xs, acc, m):  # sum(min(x, m) for x in xs), xs sorted
+        j = bisect_left(xs, m)
+        return acc[j] + m * (len(xs) - j)
+
+    ranks = []
+    size = 0
+    for cand in viable:
+        if len(cand) != size:
+            size = len(cand)
+            below = clipped(lens, lens_acc, size - 1) - clipped(lcps, lcps_acc, size - 1)
+            level = sorted({s[:size][::-1] if mirrored else s[:size] for s in segs if len(s) >= size})
+        ranks.append(below + bisect_left(level, cand) + 1)
+    return total, ranks
 
 
 def _run_concrete(
@@ -445,20 +539,7 @@ class FormulaTarget(_InternedTarget):
         super().__init__([f.syms for f in psi.fragments])
 
 
-def _common_prefix(a: str, b: str) -> int:
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
-
-
-def _by_length(text: str):
-    return len(text), text
-
-
-class _SymbolicSearch:
+class _SymbolicSearch(_Budgeted):
     """Division search over a target's blind text.
 
     Images are blind texts; each stands for its orientation class, the
@@ -486,11 +567,6 @@ class _SymbolicSearch:
     def _bind(self, var: str, img: str):
         rev = img[::-1].translate(self.target.flip) if var in self.mirrored else None
         self.images[var] = (img, rev)
-
-    def _charge(self, steps: int):
-        self.steps += steps
-        if self.steps > self.max_steps:
-            raise SearchBudgetExceeded(self.max_steps + 1)
 
     def run(self) -> Optional[Dict[str, str]]:
         if not self.frags:

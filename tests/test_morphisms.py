@@ -11,6 +11,9 @@ from zimrev.morphisms import (
     SearchBudget,
     SearchBudgetExceeded,
     SymbolicMorphism,
+    _ConcreteSearch,
+    _intern,
+    _sorted_frags,
     apply_concrete,
     apply_symbolic,
     compose,
@@ -96,6 +99,36 @@ class TestOccurs:
         with pytest.raises(SearchBudgetExceeded) as info:
             occurs(phi, square_free, SearchBudget(30, 145824))
         assert info.value.steps == 145825
+
+    def test_mirrored_sparse_absence_keeps_its_budget_edge(self):
+        # x's candidates from several positions are counted in reverse
+        # orientation, none of them viable: they are charged in bulk, and the
+        # budget must still run out on the same step
+        square_free = generate_power_free(3, Fraction(2), 30, SearchBudget(1, 10**6)).word
+        phi = parse("x y~ x y~")
+        assert occurs(phi, square_free, SearchBudget(30, 3672)) is None
+        with pytest.raises(SearchBudgetExceeded) as info:
+            occurs(phi, square_free, SearchBudget(30, 3671))
+        assert info.value.steps == 3672
+        # steps 2-125 are one charge; the raise still names the first step over
+        with pytest.raises(SearchBudgetExceeded) as info:
+            occurs(phi, square_free, SearchBudget(30, 100))
+        assert info.value.steps == 101
+
+    def test_step_counts_of_every_short_pattern(self):
+        # every pattern of 1-4 symbols over x, x~, y, y~ against a 30-letter
+        # square-free word: which occur and how many candidates the searches
+        # walk, rejected ones included
+        square_free = generate_power_free(3, Fraction(2), 30, SearchBudget(1, 10**6)).word
+        text, _ = _intern(square_free)
+        syms = [Sym("x"), Sym("x", True), Sym("y"), Sym("y", True)]
+        found = steps = 0
+        for length in range(1, 5):
+            for combo in itertools.product(syms, repeat=length):
+                search = _ConcreteSearch(_sorted_frags(FormulaR([PatternR(combo)])), text, 30, 10**7)
+                found += search.run() is not None
+                steps += search.steps
+        assert (found, steps) == (52, 497978)
 
 
 class TestOccursCommonImage:
