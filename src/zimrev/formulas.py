@@ -209,17 +209,23 @@ def d_reverse_syms(syms: Tuple[Sym, ...]) -> Tuple[Sym, ...]:
     return tuple(s.toggled() for s in reversed(syms))
 
 
+def _orientations(phi: FormulaR) -> Tuple[Set[str], Set[str]]:
+    """The variables that occur unmirrored and those that occur mirrored."""
+    plain: Set[str] = set()
+    mirrored: Set[str] = set()
+    for frag in phi:
+        for s in frag:
+            (mirrored if s.mirrored else plain).add(s.var)
+    return plain, mirrored
+
+
 def classify_vars(phi: FormulaR) -> Dict[str, str]:
     """Tag each occurring variable TWO_WAY or ONE_WAY.
 
     A variable is two-way when both orientations appear somewhere in the
     formula; absent variables are simply not reported.
     """
-    plain: Set[str] = set()
-    mirrored: Set[str] = set()
-    for frag in phi:
-        for s in frag:
-            (mirrored if s.mirrored else plain).add(s.var)
+    plain, mirrored = _orientations(phi)
     out: Dict[str, str] = {}
     for name in plain | mirrored:
         out[name] = TWO_WAY if (name in plain and name in mirrored) else ONE_WAY
@@ -230,11 +236,7 @@ def normalize(phi: FormulaR) -> FormulaR:
     """Flip variables that only ever appear mirrored, so every one-way
     variable appears unmirrored.  The result is equivalent to the input
     (they divide each other through the orientation swap)."""
-    plain: Set[str] = set()
-    mirrored: Set[str] = set()
-    for frag in phi:
-        for s in frag:
-            (mirrored if s.mirrored else plain).add(s.var)
+    plain, mirrored = _orientations(phi)
     flip = mirrored - plain
     if not flip:
         return phi

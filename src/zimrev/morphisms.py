@@ -14,21 +14,30 @@ enumeration order.
 The occurrence search also looks ahead of the frontier: the symbols right
 after the new variable's stamping occurrence that are already bound (or are
 that variable again) have known images, so a candidate is viable only if the
-text continues with them at one of its positions.  When the first of them is
-bound, its image must start where the candidate ends, so ``str.find`` lists
-the viable ends from each position; otherwise every length is tried.  A
-candidate that is not viable is exactly one the fragment's own prefix test
-would reject, and it is counted, not built.  The candidates from a position
-are the prefixes of the longest one, S_p (reversed for a mirrored frontier,
-which changes no count), so over the sorted S_p there are
-sum |S_p| - sum LCP(neighbours) of them.  The same sums clipped at L - 1
-count the candidates shorter than L; a viable candidate of length L comes
-after those and after the length-L candidates that sort before it.  Every
-candidate still costs one step in (length, text) order: the rejected ones
-between two viable candidates, and those after the last, are charged in one
-go, and a charge that passes the budget raises with the first step over it.
-The step count, the first witness and the step at which the budget runs out
-are therefore those of walking every candidate one at a time.
+text continues with them at one of its positions.  The first of them must
+start where the candidate ends, so the viable ends from each position are
+listed, not tried one length at a time.  When it is bound, ``str.find``
+lists its occurrences.  When it is the new variable again (``x x``,
+``y y~ x``), the candidate is the first half of a square at its start if the
+two marks agree, and of an even palindrome there if they differ; the halves
+of each kind at a start are listed once per search, by jumping from one
+occurrence of the growing first half (or its reversal) to the next, and kept
+for every later visit to that start.  Only with no lookahead is every length
+tried.  Any later lookahead images and the room left for the rest of the
+fragment are checked at the listed ends.  A candidate that is not viable is
+exactly one the fragment's own prefix test would reject, and it is counted,
+not built, so listing the ends changes which candidates are built but not
+the steps.  The candidates from a position are the prefixes of the longest
+one, S_p (reversed for a mirrored frontier, which changes no count), so over
+the sorted S_p there are sum |S_p| - sum LCP(neighbours) of them.  The same
+sums clipped at L - 1 count the candidates shorter than L; a viable
+candidate of length L comes after those and after the length-L candidates
+that sort before it.  Every candidate still costs one step in (length, text)
+order: the rejected ones between two viable candidates, and those after the
+last, are charged in one go, and a charge that passes the budget raises with
+the first step over it.  The step count, the first witness and the step at
+which the budget runs out are therefore those of walking every candidate one
+at a time.
 
 Both searches run over interned text, one character per letter or symbol,
 ordered so that comparing same-length texts compares canonical keys.  A
@@ -56,7 +65,7 @@ budget" distinct from "definitely absent".
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -243,6 +252,7 @@ class _ConcreteSearch(_Budgeted):
         self.fixed = fixed or {}
         self.order, self.frontier = _variable_order(frags)
         self.steps = 0
+        self.twins: Dict[Tuple[int, bool], List[int]] = {}
 
     def run(self) -> Optional[Dict[str, str]]:
         if not self.frags:
@@ -315,11 +325,12 @@ class _ConcreteSearch(_Budgeted):
                 ahead.append((piece[::-1] if s.mirrored else piece, False))
             k += 1
         rest_min = len(frag) - k
-        # a bound first lookahead image must start where the candidate ends,
-        # so str.find lists the viable ends; otherwise every length is tried
-        lead = ahead[0][0] if ahead else None
-        checks = ahead[1:] if lead else ahead
-        skip = len(lead) if lead else 0
+        # the first lookahead image starts where the candidate ends, which
+        # lists the viable ends; with no lookahead every length is tried
+        lead, twin_mark = ahead[0] if ahead else ("", False)
+        checks = ahead[1:]
+        twins = lead is None
+        palindrome = twins and twin_mark != mirrored
         segs = []  # the longest candidate from each position, text orientation
         viable = set()
         for p in positions:
@@ -328,8 +339,11 @@ class _ConcreteSearch(_Budgeted):
             if limit < 1:
                 continue
             segs.append(text[start : start + limit])
-            if lead:
-                ends = _find_all(text, lead, start + 1, start + limit + skip)
+            if twins:
+                halves = self._twin_halves(start, palindrome)
+                ends = [start + h for h in halves[: bisect_right(halves, limit)]]
+            elif lead:
+                ends = _find_all(text, lead, start + 1, start + limit + len(lead))
             else:
                 ends = range(start + 1, start + limit + 1)
             for end in ends:
@@ -337,7 +351,7 @@ class _ConcreteSearch(_Budgeted):
                 cand = seg[::-1] if mirrored else seg
                 if cand in viable:
                     continue
-                end += skip
+                end += end - start if twins else len(lead)
                 for piece, rev in checks:
                     if piece is None:
                         piece = cand[::-1] if rev else cand
@@ -364,6 +378,39 @@ class _ConcreteSearch(_Budgeted):
             del assignment[var]
         self._charge(total - done)
         return None
+
+    def _twin_halves(self, start: int, palindrome: bool) -> List[int]:
+        """Every h up to the cap with text[start:start + h] followed by itself,
+        or by its reversal when palindrome is set, in increasing order.
+
+        No h' in [h, j - start) can be a square's half when the first
+        occurrence of text[start:start + h] from start + h is at j, as the
+        square's second half starts with it; for a palindrome the reversed
+        piece ends the second half, so h' < (j - start + h) / 2 is excluded.
+        """
+        key = (start, palindrome)
+        halves = self.twins.get(key)
+        if halves is not None:
+            return halves
+        text = self.text
+        top = min(self.cap, (self.n - start) // 2)
+        halves = []
+        h = 1
+        while h <= top:
+            piece = text[start : start + h]
+            if palindrome:
+                j = text.find(piece[::-1], start + h, start + 2 * top)
+            else:
+                j = text.find(piece, start + h, start + top + h)
+            if j < 0:
+                break
+            if j == start + h:
+                halves.append(h)
+                h += 1
+            else:
+                h = (j - start + h + 1) // 2 if palindrome else j - start
+        self.twins[key] = halves
+        return halves
 
 
 def _find_all(text: str, piece: str, lo: int, hi: int) -> List[int]:

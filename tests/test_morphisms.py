@@ -115,6 +115,19 @@ class TestOccurs:
             occurs(phi, square_free, SearchBudget(30, 100))
         assert info.value.steps == 101
 
+    @pytest.mark.parametrize("text,steps", [("x x", 327), ("y y~ x", 303)])
+    def test_self_lookahead_keeps_its_budget_edge(self, text, steps):
+        # the frontier variable followed by itself: its viable ends are the
+        # squares (same mark) or even palindromes (other mark) at each start,
+        # of which a square-free word has none; every candidate still costs
+        # one step
+        square_free = generate_power_free(3, Fraction(2), 30, SearchBudget(1, 10**6)).word
+        phi = parse(text)
+        assert occurs(phi, square_free, SearchBudget(30, steps)) is None
+        with pytest.raises(SearchBudgetExceeded) as info:
+            occurs(phi, square_free, SearchBudget(30, steps - 1))
+        assert info.value.steps == steps
+
     def test_step_counts_of_every_short_pattern(self):
         # every pattern of 1-4 symbols over x, x~, y, y~ against a 30-letter
         # square-free word: which occur and how many candidates the searches
@@ -129,6 +142,19 @@ class TestOccurs:
                 found += search.run() is not None
                 steps += search.steps
         assert (found, steps) == (52, 497978)
+
+    def test_step_counts_of_every_short_pattern_with_squares(self):
+        # the same panel against a 32-letter Thue-Morse prefix, which has
+        # squares and even palindromes for the self-lookahead to list
+        text, _ = _intern(word("12212112211212212112122112212112"))
+        syms = [Sym("x"), Sym("x", True), Sym("y"), Sym("y", True)]
+        found = steps = 0
+        for length in range(1, 5):
+            for combo in itertools.product(syms, repeat=length):
+                search = _ConcreteSearch(_sorted_frags(FormulaR([PatternR(combo)])), text, 32, 10**7)
+                found += search.run() is not None
+                steps += search.steps
+        assert (found, steps) == (308, 45144)
 
 
 class TestOccursCommonImage:
