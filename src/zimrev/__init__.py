@@ -31,7 +31,6 @@ from .decide import (
     LemmaCert,
     Verdict,
     ZiminDivisionCert,
-    build_witness,
     check_doubled_pattern,
     check_length_bound,
     conjecture2_probe,
@@ -52,7 +51,6 @@ from .formulas import (
     delete_vars,
     factors_of,
     flatten,
-    format_formula,
     formula,
     normalize,
     parse,

@@ -348,14 +348,6 @@ def _lemma_battery(phi_n: FormulaR, prefix_len: int) -> Optional[LemmaCert]:
     return lemma_flat(phi_n, prefix_len)
 
 
-def build_witness(cert: Certificate) -> OmegaWordSpec:
-    """The avoiding omega-word spec of a lemma certificate (generated
-    components were materialized when the certificate was built)."""
-    if not isinstance(cert, LemmaCert):
-        raise ValueError(f"only lemma certificates carry witnesses, got {cert!r}")
-    return cert.witness
-
-
 # ---------------------------------------------------------------------------
 # The decision.
 

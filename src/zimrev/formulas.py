@@ -175,11 +175,6 @@ def parse(text: str) -> FormulaR:
     return FormulaR(fragments)
 
 
-def format_formula(phi: FormulaR) -> str:
-    """Canonical text form; fragments come out sorted."""
-    return str(phi)
-
-
 def pattern_vars(p: PatternR) -> Set[str]:
     return {s.var for s in p.syms}
 

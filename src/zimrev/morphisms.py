@@ -2,60 +2,67 @@
 
 Two kinds of search live here: reversal-respecting morphisms from a formula
 into a concrete word (``occurs``), and d-reversal-respecting morphisms from a
-formula into another formula (``divides``).  Both use the same strategy:
-variables are ordered by first occurrence in the longest fragment, candidate
-images are enumerated by increasing length (ties broken by canonical key),
-and after each assignment every fully-instantiated fragment prefix must still
-be a factor of the target.  Candidates are drawn from the viable occurrence
-positions of that prefix, which skips exactly the candidates the prefix test
-would reject, so the first witness found is the first in the documented
-enumeration order.
+formula into another formula (``divides``).  They are one engine,
+``_Search``, with two candidate listings (``_extend``).  Variables are
+ordered by first occurrence in the longest fragment, candidate images are
+enumerated by increasing length (ties broken by canonical key), and after
+each assignment every fully-instantiated fragment prefix must still be a
+factor of the target (``_refresh``).  Candidates are drawn from the viable
+occurrence positions of that prefix, which skips exactly the candidates the
+prefix test would reject, so the first witness found is the first in the
+documented enumeration order.  The engine also owns the step budget
+(``_charge``) and the image store, which keeps each bound variable's image
+and, if the variable occurs mirrored, its mirrored image (``_bind``).
 
-The occurrence search also looks ahead of the frontier: the symbols right
-after the new variable's stamping occurrence that are already bound (or are
-that variable again) have known images, so a candidate is viable only if the
-text continues with them at one of its positions.  The first of them must
-start where the candidate ends, so the viable ends from each position are
-listed, not tried one length at a time.  When it is bound, ``str.find``
-lists its occurrences.  When it is the new variable again (``x x``,
-``y y~ x``), the candidate is the first half of a square at its start if the
-two marks agree, and of an even palindrome there if they differ; the halves
-of each kind at a start are listed once per search, by jumping from one
-occurrence of the growing first half (or its reversal) to the next, and kept
-for every later visit to that start.  Only with no lookahead is every length
-tried.  Any later lookahead images and the room left for the rest of the
-fragment are checked at the listed ends.  A candidate that is not viable is
-exactly one the fragment's own prefix test would reject, and it is counted,
-not built, so listing the ends changes which candidates are built but not
-the steps.  The candidates from a position are the prefixes of the longest
-one, S_p (reversed for a mirrored frontier, which changes no count), so over
-the sorted S_p there are sum |S_p| - sum LCP(neighbours) of them.  The same
-sums clipped at L - 1 count the candidates shorter than L; a viable
-candidate of length L comes after those and after the length-L candidates
-that sort before it.  Every candidate still costs one step in (length, text)
-order: the rejected ones between two viable candidates, and those after the
-last, are charged in one go, and a charge that passes the budget raises with
-the first step over it.  The step count, the first witness and the step at
-which the budget runs out are therefore those of walking every candidate one
-at a time.
-
-Both searches run over interned text, one character per letter or symbol,
-ordered so that comparing same-length texts compares canonical keys.  A
+Both kinds run over interned text, one character per letter or symbol,
+ordered so that comparing same-length texts compares canonical keys.  A word
+(``WordTarget``) is one fragment, and a mirrored image is its reversal.  A
 division target (an explicit formula, or the Zimin slot template) codes a
 symbol as ``0x100 + 2*rank + mirrored``, rank being the variable name's
-place in sorted order, and also supplies a ``blind`` translate table: the
-identity for an explicit formula, whose fragments are joined by a separator
-no candidate contains, and for the template the map that sends both
-orientations of an X variable to one character, since an X slot matches
-either.  The division search tests blind texts with ``str.startswith``.
-Candidates with the same blind text form an orientation class; no test of
-the target tells them apart, and their d-reversals also differ only in X
-marks, so every member has the same subtree with the same positions, steps
-and outcome.  The class is explored once, at its first member in candidate
-order (the one with every X unmarked), and each later member is charged one
-step plus that subtree's steps at its place in the order.  The first
-witness, the step count and the point where the budget runs out are those
-of exploring every member.
+place in sorted order, and supplies a ``flip`` table for d-reversals and a
+``blind`` translate table: the identity for an explicit formula, whose
+fragments are joined by a separator no candidate contains, and for the
+template the map that sends both orientations of an X variable to one
+character, since an X slot matches either.  Only a target of several
+fragments has ``ends``; with one, the room left is one comparison.
+
+The occurrence listing (``_ConcreteSearch._extend``) looks ahead of the
+frontier: the symbols right after the new variable's stamping occurrence
+that are already bound (or are that variable again) have known images, so a
+candidate is viable only if the text continues with them at one of its
+positions.  The first of them must start where the candidate ends, so the
+viable ends from each position are listed, not tried one length at a time.
+When it is bound, ``str.find`` lists its occurrences.  When it is the new
+variable again (``x x``, ``y y~ x``), the candidate is the first half of a
+square at its start if the two marks agree, and of an even palindrome there
+if they differ; the halves of each kind at a start are listed once per
+search, by jumping from one occurrence of the growing first half (or its
+reversal) to the next, and kept for every later visit to that start.  Only
+with no lookahead is every length tried.  Any later lookahead images and the
+room left for the rest of the fragment are checked at the listed ends.  A
+candidate that is not viable is exactly one the fragment's own prefix test
+would reject, and it is counted, not built, so listing the ends changes
+which candidates are built but not the steps.  The candidates from a
+position are the prefixes of the longest one, S_p (reversed for a mirrored
+frontier, which changes no count), so over the sorted S_p there are
+sum |S_p| - sum LCP(neighbours) of them.  The same sums clipped at L - 1
+count the candidates shorter than L; a viable candidate of length L comes
+after those and after the length-L candidates that sort before it.  Every
+candidate still costs one step in (length, text) order: the rejected ones
+between two viable candidates, and those after the last, are charged in one
+go, and a charge that passes the budget raises with the first step over it.
+The step count, the first witness and the step at which the budget runs out
+are therefore those of walking every candidate one at a time.
+
+The division listing (``_SymbolicSearch._extend``) lists every blind text
+from every position.  Candidates with the same blind text form an
+orientation class; no test of the target tells them apart, and their
+d-reversals also differ only in X marks, so every member has the same
+subtree with the same positions, steps and outcome.  The class is explored
+once, at its first member in candidate order (the one with every X
+unmarked), and each later member is charged one step plus that subtree's
+steps at its place in the order.  The first witness, the step count and the
+point where the budget runs out are those of exploring every member.
 
 Image lengths are capped at the sound bound (|w| for occurrences, the longest
 fragment of the target for divisions): a completed search at that bound is a
@@ -71,7 +78,7 @@ from itertools import accumulate
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .formulas import FormulaR, PatternR, Sym, d_reverse_syms
-from .words import Letter, Word, is_factor, letter_key, reverse
+from .words import Letter, Word, is_factor, letter_key
 
 DEFAULT_MAX_IMAGE_LEN = 16
 DEFAULT_MAX_STEPS = 10_000_000
@@ -201,11 +208,129 @@ def _by_length(text: str):
     return len(text), text
 
 
-class _Budgeted:
-    """Step accounting shared by both searches."""
+# ---------------------------------------------------------------------------
+# Targets, interned as text whose character order follows the item order,
+# so substring slices compare and sort at C speed in the documented
+# candidate order.
 
-    steps: int
-    max_steps: int
+_SEPARATOR = "."  # joins target fragments; no code is below 0x100
+_FOREIGN = "?"  # a fixed image's symbol that the target lacks; matches nothing
+
+
+class _InternedTarget:
+    """A target interned as text, one character per letter or symbol.
+
+    ``codes`` maps an item to its character and ``back`` a character to its
+    item; ``blind`` is a translate table applied to every interned text.
+    """
+
+    blind: Dict[int, str] = {}
+
+    def intern(self, items: Iterable) -> str:
+        codes = self.codes
+        return "".join(codes.get(a, _FOREIGN) for a in items).translate(self.blind)
+
+    def extern(self, text: str) -> tuple:
+        back = self.back
+        return tuple(back[c] for c in text)
+
+
+class WordTarget(_InternedTarget):
+    """An occurrence target: a word, one character per letter in letter
+    order.  A word is one fragment, and a mirrored image is the plain
+    reversal of the image, so the occurrence search needs no ``ends`` and no
+    ``flip`` table."""
+
+    def __init__(self, w: Word):
+        letters = sorted(set(w.letters), key=letter_key)
+        self.codes = {a: chr(0x100 + i) for i, a in enumerate(letters)}
+        self.back = {c: a for a, c in self.codes.items()}
+        self.text = self.intern(w.letters)
+
+
+class _SymbolTarget(_InternedTarget):
+    """A division target interned as text, one character per symbol.
+
+    A symbol's code is ``chr(0x100 + 2*rank + mirrored)``, where ``rank`` is
+    the variable name's position in sorted order, so same-length texts
+    compare like their symbols' keys.  ``blind`` sends the marked code of
+    every variable in ``merged`` to its unmarked code: the target's factor
+    test ignores those marks.  ``text`` is the blind text of the fragments
+    joined by a separator.  With more than one fragment, ``ends[p]`` is the
+    end of the fragment holding position p (p itself for a separator); with
+    one, ``ends`` is None and every position's fragment ends with the text.
+    """
+
+    def __init__(self, frags: Sequence[Tuple[Sym, ...]], merged: Iterable[str] = ()):
+        names = sorted({s.var for frag in frags for s in frag})
+        merged = set(merged)
+        self.codes: Dict[Sym, str] = {
+            Sym(name, mirrored): chr(0x100 + 2 * rank + mirrored)
+            for rank, name in enumerate(names)
+            for mirrored in (False, True)
+        }
+        self.back = {c: s for s, c in self.codes.items()}
+        self.blind = {
+            ord(c): self.codes[Sym(s.var, False)]
+            for s, c in self.codes.items()
+            if s.mirrored and s.var in merged
+        }
+        # toggles each mark, then blinds: applied to a reversed blind text,
+        # it gives the blind text of the d-reversal
+        self.flip = {
+            ord(c): self.codes[s.toggled()].translate(self.blind) for s, c in self.codes.items()
+        }
+        # deletes every character except the blind codes of merged variables
+        self.unmerged = {
+            ord(c): None for s, c in self.codes.items() if s.mirrored or s.var not in merged
+        }
+        pieces = [self.intern(frag) for frag in frags]
+        self.text = _SEPARATOR.join(pieces)
+        ends: List[int] = []
+        for piece in pieces:
+            if ends:
+                ends.append(len(ends))
+            ends.extend([len(ends) + len(piece)] * len(piece))
+        self.ends = ends if len(pieces) > 1 else None
+        self.max_fragment_len = max(map(len, pieces), default=0)
+
+
+class FormulaTarget(_SymbolTarget):
+    """Division target backed by an explicit fragment list; every mark counts."""
+
+    def __init__(self, psi: FormulaR):
+        super().__init__([f.syms for f in psi.fragments])
+
+
+# ---------------------------------------------------------------------------
+# The search engine.  Only the candidate listing (``_extend``) is per kind.
+
+
+class _Search:
+    """Prefix-extension search of the fragments over a target's text.
+
+    ``images`` is the image store: per bound variable, its image and, if the
+    variable occurs mirrored, its mirrored image, indexed by the mirror mark.
+    A state holds per fragment the number of bound leading symbols, their
+    joined image, and the positions where that image still starts with room
+    for the rest of the fragment.  The defaults describe a word: one fragment
+    (no ``ends``), mirrored images by plain reversal (no ``flip``).  With
+    ``common_image`` set, every complete fragment must have the same image.
+    """
+
+    def __init__(self, frags, text: str, cap: int, max_steps: int, fixed=None, common_image=False):
+        self.frags = frags
+        self.text = text
+        self.ends: Optional[List[int]] = None
+        self.flip: Optional[Dict[int, str]] = None
+        self.n = len(text)
+        self.cap = min(cap, self.n)
+        self.max_steps = max_steps
+        self.fixed = fixed
+        self.common_image = common_image
+        self.order, self.frontier = _variable_order(frags)
+        self.steps = 0
+        self.images: Dict[str, Tuple[str, Optional[str]]] = {}
 
     def _charge(self, steps: int):
         """Spend steps; past the budget, raise with the first step over it,
@@ -214,95 +339,87 @@ class _Budgeted:
         if self.steps > self.max_steps:
             raise SearchBudgetExceeded(self.max_steps + 1)
 
+    def _bind(self, var: str, img: str):
+        if self.flip is None:  # a word: cheaper than asking whether var occurs mirrored
+            rev = img[::-1]
+        elif var in self.mirrored:  # set with flip
+            rev = img[::-1].translate(self.flip)
+        else:
+            rev = None
+        self.images[var] = (img, rev)
 
-# ---------------------------------------------------------------------------
-# Concrete occurrence search.  The word is interned into a string whose
-# character order follows the letter order, so substring slices compare and
-# sort at C speed while preserving the documented candidate order.
-
-
-def _intern(w: Word):
-    distinct = sorted(set(w.letters), key=letter_key)
-    table = {a: chr(0x100 + i) for i, a in enumerate(distinct)}
-    text = "".join(table[a] for a in w.letters)
-    back = [a for a in distinct]
-    return text, back
-
-
-def _extern(text: str, back: List[Letter]) -> Word:
-    return Word(tuple(back[ord(c) - 0x100] for c in text))
-
-
-class _ConcreteSearch(_Budgeted):
-    def __init__(
-        self,
-        frags: List[Tuple[Sym, ...]],
-        text: str,
-        cap: int,
-        max_steps: int,
-        fixed: Optional[Dict[str, str]] = None,
-        common_image: bool = False,
-    ):
-        self.frags = frags
-        self.text = text
-        self.n = len(text)
-        self.cap = min(cap, self.n) if self.n else 0
-        self.max_steps = max_steps
-        self.common_image = common_image
-        self.fixed = fixed or {}
-        self.order, self.frontier = _variable_order(frags)
-        self.steps = 0
-        self.twins: Dict[Tuple[int, bool], List[int]] = {}
-
-    def run(self) -> Optional[Dict[str, str]]:
+    def run(self) -> Optional[Dict[str, Tuple[str, Optional[str]]]]:
+        """The image store of the first witness, or None if there is none."""
         if not self.frags:
             return {}
+        n = self.n
+        ends = self.ends
         state = []
         for frag in self.frags:
-            if len(frag) > self.n:
+            need = len(frag)
+            if ends is None:
+                positions = tuple(range(n - need + 1))
+            else:
+                positions = tuple(p for p in range(n) if p + need <= ends[p])
+            if not positions:
                 return None
-            state.append((0, "", tuple(range(self.n - len(frag) + 1))))
-        assignment: Dict[str, str] = {}
+            state.append((0, "", positions))
         if self.fixed:
-            assignment.update(self.fixed)
-            state = self._refresh(assignment, state)
+            for var, img in self.fixed.items():
+                self._bind(var, img)
+            state = self._refresh(state)
             if state is None:
                 return None
-        return self._extend(assignment, state, 0)
+        return self.images if self._extend(state, 0) else None
 
-    def _refresh(self, assignment, state):
+    def _refresh(self, state):
         new_state = []
+        images = self.images
         text = self.text
+        ends = self.ends
         for (count, img, positions), frag in zip(state, self.frags):
             new_count = count
             parts = []
-            while new_count < len(frag) and frag[new_count].var in assignment:
-                piece = assignment[frag[new_count].var]
-                parts.append(piece[::-1] if frag[new_count].mirrored else piece)
+            while new_count < len(frag) and frag[new_count].var in images:
+                sym = frag[new_count]
+                parts.append(images[sym.var][sym.mirrored])
                 new_count += 1
             if new_count == count:
                 new_state.append((count, img, positions))
                 continue
             seg = "".join(parts)
-            new_img = img + seg
             old_len = len(img)
-            last = self.n - len(new_img) - (len(frag) - new_count)  # leaves room for the rest
-            kept = tuple(p for p in positions if p <= last and text.startswith(seg, p + old_len))
+            need = old_len + len(seg) + len(frag) - new_count  # leaves room for the rest
+            if ends is None:  # one fragment: one comparison per position
+                last = self.n - need
+                kept = tuple(p for p in positions if p <= last and text.startswith(seg, p + old_len))
+            else:
+                kept = tuple(
+                    p for p in positions if p + need <= ends[p] and text.startswith(seg, p + old_len)
+                )
             if not kept:
                 return None
-            new_state.append((new_count, new_img, kept))
+            new_state.append((new_count, img + seg, kept))
         if self.common_image:
             complete = {img for (count, img, _), frag in zip(new_state, self.frags) if count == len(frag)}
             if len(complete) > 1:
                 return None
         return new_state
 
-    def _extend(self, assignment, state, idx):
+
+class _ConcreteSearch(_Search):
+    """Occurrence search over a word's text: the frontier lookahead lists
+    the viable candidates and counts the rest."""
+
+    twins: Optional[Dict[Tuple[int, bool], List[int]]] = None  # _twin_halves memo
+
+    def _extend(self, state, idx) -> bool:
         if idx == len(self.order):
-            return dict(assignment)
+            return True
         var = self.order[idx]
-        if var in assignment:
-            return self._extend(assignment, state, idx + 1)
+        images = self.images
+        if var in images:
+            return self._extend(state, idx + 1)
         gi, off = self.frontier[var]
         frag = self.frags[gi]
         _, img, positions = state[gi]
@@ -316,13 +433,12 @@ class _ConcreteSearch(_Budgeted):
         # when the flag is set
         ahead = []
         k = off + 1
-        while k < len(frag) and (frag[k].var == var or frag[k].var in assignment):
+        while k < len(frag) and (frag[k].var == var or frag[k].var in images):
             s = frag[k]
             if s.var == var:
                 ahead.append((None, s.mirrored))
             else:
-                piece = assignment[s.var]
-                ahead.append((piece[::-1] if s.mirrored else piece, False))
+                ahead.append((images[s.var][s.mirrored], False))
             k += 1
         rest_min = len(frag) - k
         # the first lookahead image starts where the candidate ends, which
@@ -369,15 +485,13 @@ class _ConcreteSearch(_Budgeted):
         for cand, rank in zip(order, ranks):
             self._charge(rank - done)
             done = rank
-            assignment[var] = cand
-            new_state = self._refresh(assignment, state)
-            if new_state is not None:
-                result = self._extend(assignment, new_state, idx + 1)
-                if result is not None:
-                    return result
-            del assignment[var]
+            self._bind(var, cand)
+            new_state = self._refresh(state)
+            if new_state is not None and self._extend(new_state, idx + 1):
+                return True
+            del images[var]
         self._charge(total - done)
-        return None
+        return False
 
     def _twin_halves(self, start: int, palindrome: bool) -> List[int]:
         """Every h up to the cap with text[start:start + h] followed by itself,
@@ -388,6 +502,8 @@ class _ConcreteSearch(_Budgeted):
         square's second half starts with it; for a palindrome the reversed
         piece ends the second half, so h' < (j - start + h) / 2 is excluded.
         """
+        if self.twins is None:
+            self.twins = {}
         key = (start, palindrome)
         halves = self.twins.get(key)
         if halves is not None:
@@ -456,37 +572,105 @@ def _candidate_ranks(segs: List[str], viable: List[str], mirrored: bool):
     return total, ranks
 
 
+class _SymbolicSearch(_Search):
+    """Division search over a target's blind text.
+
+    Images are blind texts; each stands for its orientation class, the
+    2**k candidates (k = merged symbols in it) that differ from it only in
+    merged marks.  The class is explored once, at its first member, and
+    every later member is charged the steps that exploration took.
+    """
+
+    def __init__(self, frags, target: _SymbolTarget, cap, max_steps, fixed=None):
+        super().__init__(frags, target.text, min(cap, target.max_fragment_len), max_steps, fixed)
+        self.ends = target.ends
+        self.flip = target.flip
+        self.mirrored = {s.var for frag in frags for s in frag if s.mirrored}
+        self.unmerged = target.unmerged if target.blind else None
+
+    def _extend(self, state, idx) -> bool:
+        if idx == len(self.order):
+            return True
+        var = self.order[idx]
+        if var in self.images:
+            return self._extend(state, idx + 1)
+        gi, off = self.frontier[var]
+        frag = self.frags[gi]
+        _, img, positions = state[gi]
+        start_off = len(img)
+        tail_min = len(frag) - off - 1
+        text = self.text
+        ends = self.ends
+        n = self.n
+        cands = set()
+        for p in positions:
+            start = p + start_off
+            last = (n if ends is None else ends[p]) - tail_min
+            for end in range(start + 1, min(start + self.cap, last) + 1):
+                cands.add(text[start:end])
+        if frag[off].mirrored:
+            flip = self.flip
+            cands = {c[::-1].translate(flip) for c in cands}
+        unmerged = self.unmerged
+        # classes run so far whose later members are not all charged yet:
+        # [text, common prefix with the last text run, members charged,
+        #  members, steps per member]
+        owed = []
+        last = ""
+        for cand in sorted(cands, key=_by_length):
+            if owed:
+                self._settle(owed, _common_prefix(last, cand) if len(last) == len(cand) else 0)
+            self._charge(1)
+            before = self.steps
+            self._bind(var, cand)
+            new_state = self._refresh(state)
+            if new_state is not None and self._extend(new_state, idx + 1):
+                return True
+            del self.images[var]
+            members = 1 << len(cand.translate(unmerged)) if unmerged else 1
+            if members > 1:
+                owed.append([cand, len(cand), 1, members, 1 + self.steps - before])
+            last = cand
+        if owed:
+            self._settle(owed, 0)
+        return False
+
+    def _settle(self, owed, shared: int):
+        """Charge the members of the owed classes that come before the next
+        text, which shares its first ``shared`` characters with the last.
+
+        A member of an earlier class A precedes the unmarked text of a
+        later class C exactly when it leaves the merged symbols of their
+        common prefix unmarked, so 2**k of A's members do, k counting the
+        merged symbols of A after that prefix.
+        """
+        unmerged = self.unmerged
+        for entry in owed:
+            cand, prefix, charged, _, cost = entry
+            if prefix > shared:
+                due = 1 << len(cand[shared:].translate(unmerged))
+                self._charge((due - charged) * cost)
+                entry[1] = shared
+                entry[2] = due
+        owed[:] = [entry for entry in owed if entry[2] < entry[3]]
+
+
 def _run_concrete(
-    phi: FormulaR,
-    w: Word,
-    budget: Optional[SearchBudget],
-    common_image: bool,
-    fixed: Optional[Dict[str, Word]] = None,
+    phi: FormulaR, w: Word, budget: Optional[SearchBudget], common_image: bool
 ) -> Optional[ConcreteMorphism]:
     budget = budget or SearchBudget()
-    if not phi:
-        return ConcreteMorphism({})
-    text, back = _intern(w)
-    table = {a: chr(0x100 + i) for i, a in enumerate(back)}
-    fixed_strs = None
-    if fixed:
-        fixed_strs = {}
-        for var, img in fixed.items():
-            if any(a not in table for a in img.letters):
-                return None
-            fixed_strs[var] = "".join(table[a] for a in img.letters)
+    target = WordTarget(w)
     search = _ConcreteSearch(
         _sorted_frags(phi),
-        text,
+        target.text,
         cap=budget.max_image_len,
         max_steps=budget.max_steps,
-        fixed=fixed_strs,
         common_image=common_image,
     )
     raw = search.run()
     if raw is None:
         return None
-    morphism = ConcreteMorphism({var: _extern(s, back) for var, s in raw.items()})
+    morphism = ConcreteMorphism({var: Word(target.extern(img)) for var, (img, _) in raw.items()})
     _verify_concrete(morphism, phi, w, common_image)
     return morphism
 
@@ -518,240 +702,28 @@ def occurs_common_image(
     return _run_concrete(phi, w, budget, common_image=True)
 
 
-# ---------------------------------------------------------------------------
-# Symbolic division search, generic over the target: an explicit formula or
-# an implicit Zimin-with-reversal slot template (see zimin module).
-
-_SEPARATOR = "."  # joins target fragments; no symbol code is below 0x100
-_FOREIGN = "?"  # a fixed image's symbol that the target lacks; matches nothing
-
-
-class _InternedTarget:
-    """A division target interned as text, one character per symbol.
-
-    A symbol's code is ``chr(0x100 + 2*rank + mirrored)``, where ``rank`` is
-    the variable name's position in sorted order, so same-length texts
-    compare like their symbols' keys.  ``blind`` is a translate table that
-    sends the marked code of every variable in ``merged`` to its unmarked
-    code: the target's factor test ignores those marks.  ``text`` is the
-    blind text of the fragments joined by a separator, and ``ends[p]`` is the
-    end of the fragment holding position p (p itself for a separator).
-    """
-
-    def __init__(self, frags: Sequence[Tuple[Sym, ...]], merged: Iterable[str] = ()):
-        names = sorted({s.var for frag in frags for s in frag})
-        merged = set(merged)
-        self.codes: Dict[Sym, str] = {
-            Sym(name, mirrored): chr(0x100 + 2 * rank + mirrored)
-            for rank, name in enumerate(names)
-            for mirrored in (False, True)
-        }
-        self.back = {c: s for s, c in self.codes.items()}
-        self.blind = {
-            ord(c): self.codes[Sym(s.var, False)]
-            for s, c in self.codes.items()
-            if s.mirrored and s.var in merged
-        }
-        # toggles each mark, then blinds: applied to a reversed blind text,
-        # it gives the blind text of the d-reversal
-        self.flip = {
-            ord(c): self.codes[s.toggled()].translate(self.blind) for s, c in self.codes.items()
-        }
-        # deletes every character except the blind codes of merged variables
-        self.unmerged = {
-            ord(c): None for s, c in self.codes.items() if s.mirrored or s.var not in merged
-        }
-        pieces = [self.intern(frag) for frag in frags]
-        self.text = _SEPARATOR.join(pieces)
-        ends: List[int] = []
-        for piece in pieces:
-            if ends:
-                ends.append(len(ends))
-            ends.extend([len(ends) + len(piece)] * len(piece))
-        self.ends = ends
-        self.max_fragment_len = max(map(len, pieces), default=0)
-
-    def intern(self, syms: Iterable[Sym]) -> str:
-        codes = self.codes
-        return "".join(codes.get(s, _FOREIGN) for s in syms).translate(self.blind)
-
-    def extern(self, text: str) -> Tuple[Sym, ...]:
-        return tuple(self.back[c] for c in text)
-
-
-class FormulaTarget(_InternedTarget):
-    """Division target backed by an explicit fragment list; every mark counts."""
-
-    def __init__(self, psi: FormulaR):
-        super().__init__([f.syms for f in psi.fragments])
-
-
-class _SymbolicSearch(_Budgeted):
-    """Division search over a target's blind text.
-
-    Images are blind texts; each stands for its orientation class, the
-    2**k candidates (k = merged symbols in it) that differ from it only in
-    merged marks.  The class is explored once, at its first member, and
-    every later member is charged the steps that exploration took.
-    """
-
-    def __init__(self, frags, target: _InternedTarget, cap, max_steps, fixed=None):
-        self.frags = frags
-        self.target = target
-        self.text = target.text
-        self.ends = target.ends
-        self.cap = min(cap, target.max_fragment_len)
-        self.max_steps = max_steps
-        self.order, self.frontier = _variable_order(frags)
-        self.steps = 0
-        self.mirrored = {s.var for frag in frags for s in frag if s.mirrored}
-        # var -> (blind image, blind d-reversal if var occurs mirrored),
-        # indexed by the mirror mark
-        self.images: Dict[str, Tuple[str, Optional[str]]] = {}
-        for var, syms in (fixed or {}).items():
-            self._bind(var, target.intern(syms))
-
-    def _bind(self, var: str, img: str):
-        rev = img[::-1].translate(self.target.flip) if var in self.mirrored else None
-        self.images[var] = (img, rev)
-
-    def run(self) -> Optional[Dict[str, str]]:
-        if not self.frags:
-            return {}
-        ends = self.ends
-        state = []
-        for frag in self.frags:
-            need = len(frag)
-            positions = tuple(p for p in range(len(ends)) if p + need <= ends[p])
-            if not positions:
-                return None
-            state.append((0, "", positions))
-        if self.images:
-            state = self._refresh(state)
-            if state is None:
-                return None
-        if not self._extend(state, 0):
-            return None
-        return {var: img for var, (img, _) in self.images.items()}
-
-    def _refresh(self, state):
-        new_state = []
-        images = self.images
-        text = self.text
-        ends = self.ends
-        for (count, img, positions), frag in zip(state, self.frags):
-            new_count = count
-            parts = []
-            while new_count < len(frag) and frag[new_count].var in images:
-                sym = frag[new_count]
-                parts.append(images[sym.var][sym.mirrored])
-                new_count += 1
-            if new_count == count:
-                new_state.append((count, img, positions))
-                continue
-            seg = "".join(parts)
-            old_len = len(img)
-            need = old_len + len(seg) + len(frag) - new_count
-            kept = tuple(
-                p for p in positions if p + need <= ends[p] and text.startswith(seg, p + old_len)
-            )
-            if not kept:
-                return None
-            new_state.append((new_count, img + seg, kept))
-        return new_state
-
-    def _extend(self, state, idx) -> bool:
-        if idx == len(self.order):
-            return True
-        var = self.order[idx]
-        if var in self.images:
-            return self._extend(state, idx + 1)
-        gi, off = self.frontier[var]
-        frag = self.frags[gi]
-        _, img, positions = state[gi]
-        start_off = len(img)
-        tail_min = len(frag) - off - 1
-        text = self.text
-        ends = self.ends
-        cands = set()
-        for p in positions:
-            start = p + start_off
-            for end in range(start + 1, min(start + self.cap, ends[p] - tail_min) + 1):
-                cands.add(text[start:end])
-        if frag[off].mirrored:
-            flip = self.target.flip
-            cands = {c[::-1].translate(flip) for c in cands}
-        merges = bool(self.target.blind)
-        unmerged = self.target.unmerged
-        # classes run so far whose later members are not all charged yet:
-        # [text, common prefix with the last text run, members charged,
-        #  members, steps per member]
-        owed = []
-        last = ""
-        for cand in sorted(cands, key=_by_length):
-            if owed:
-                self._settle(owed, _common_prefix(last, cand) if len(last) == len(cand) else 0)
-            self._charge(1)
-            before = self.steps
-            self._bind(var, cand)
-            new_state = self._refresh(state)
-            if new_state is not None and self._extend(new_state, idx + 1):
-                return True
-            del self.images[var]
-            members = 1 << len(cand.translate(unmerged)) if merges else 1
-            if members > 1:
-                owed.append([cand, len(cand), 1, members, 1 + self.steps - before])
-            last = cand
-        if owed:
-            self._settle(owed, 0)
-        return False
-
-    def _settle(self, owed, shared: int):
-        """Charge the members of the owed classes that come before the next
-        text, which shares its first ``shared`` characters with the last.
-
-        A member of an earlier class A precedes the unmarked text of a
-        later class C exactly when it leaves the merged symbols of their
-        common prefix unmarked, so 2**k of A's members do, k counting the
-        merged symbols of A after that prefix.
-        """
-        unmerged = self.target.unmerged
-        for entry in owed:
-            cand, prefix, charged, _, cost = entry
-            if prefix > shared:
-                due = 1 << len(cand[shared:].translate(unmerged))
-                self._charge((due - charged) * cost)
-                entry[1] = shared
-                entry[2] = due
-        owed[:] = [entry for entry in owed if entry[2] < entry[3]]
-
-
 def _run_symbolic(
     phi: FormulaR,
-    target: _InternedTarget,
+    target: _SymbolTarget,
     contains: Callable[[PatternR], bool],
     budget: Optional[SearchBudget],
     fixed: Optional[Dict[str, PatternR]] = None,
 ) -> Optional[SymbolicMorphism]:
     budget = budget or SearchBudget()
-    if not phi:
-        return SymbolicMorphism({})
     fixed = fixed or {}
     search = _SymbolicSearch(
         _sorted_frags(phi),
         target,
         cap=budget.max_image_len,
         max_steps=budget.max_steps,
-        fixed={var: img.syms for var, img in fixed.items()},
+        fixed={var: target.intern(img) for var, img in fixed.items()},
     )
     raw = search.run()
     if raw is None:
         return None
-    assignment = dict(fixed)
-    for var, img in raw.items():
-        if var not in fixed:
-            assignment[var] = PatternR(target.extern(img))
-    morphism = SymbolicMorphism(assignment)
+    morphism = SymbolicMorphism(
+        {var: fixed[var] if var in fixed else PatternR(target.extern(img)) for var, (img, _) in raw.items()}
+    )
     _verify_symbolic(morphism, phi, contains)
     return morphism
 

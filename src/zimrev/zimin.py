@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .formulas import EMPTY_FORMULA, FormulaR, PatternR, Sym
-from .morphisms import SearchBudget, SymbolicMorphism, _InternedTarget, _run_symbolic
+from .morphisms import SearchBudget, SymbolicMorphism, _SymbolTarget, _run_symbolic
 
 ENUMERATION_GUARD = 65536
 
@@ -74,14 +75,21 @@ class ZiminTemplate:
         """Human form with X slots uppercase, e.g. "X1 y1 X1"."""
         return " ".join(f"X{i}" if kind == "x" else f"y{i}" for kind, i in self.slots)
 
-    def slot_matches(self, slot: Slot, sym: Sym) -> bool:
-        kind, i = slot
-        if kind == "x":
-            return sym.var == x_name(i)
-        return sym.var == y_name(i) and not sym.mirrored
+    @cached_property
+    def slot_names(self) -> Tuple[Tuple[str, bool], ...]:
+        """Per slot, the variable it holds and whether it is one-way (a
+        mirrored symbol does not match it)."""
+        return tuple(
+            (x_name(i), False) if kind == "x" else (y_name(i), True) for kind, i in self.slots
+        )
 
     def window_matches(self, start: int, syms: Tuple[Sym, ...]) -> bool:
-        return all(self.slot_matches(self.slots[start + k], s) for k, s in enumerate(syms))
+        names = self.slot_names
+        for k, s in enumerate(syms, start):
+            name, one_way = names[k]
+            if s.var != name or (one_way and s.mirrored):
+                return False
+        return True
 
 
 _template_cache: Dict[Tuple[int, int], ZiminTemplate] = {}
@@ -136,7 +144,7 @@ def enumerate_fragments(m: int, n: int) -> FormulaR:
     return FormulaR(fragments)
 
 
-class TemplateTarget(_InternedTarget):
+class TemplateTarget(_SymbolTarget):
     """Division target backed by the implicit slot template.
 
     The template is interned as one fragment with every X slot unmarked, and

@@ -11,7 +11,12 @@ from zimrev.classic import (
     zimin_word,
 )
 from zimrev.formulas import EMPTY_FORMULA, FormulaR, parse, pattern
-from zimrev.morphisms import apply_symbolic, pattern_is_factor_of_formula
+from zimrev.morphisms import (
+    SearchBudget,
+    SearchBudgetExceeded,
+    apply_symbolic,
+    pattern_is_factor_of_formula,
+)
 
 
 class TestAdjacencyGraph:
@@ -169,6 +174,23 @@ class TestConstrainedDivision:
         # no division for this free set
         h = divide_into_zimin_constrained(parse("x y x"), frozenset({"y"}))
         assert h is None
+
+    @pytest.mark.parametrize(
+        "text,free,expected,steps",
+        [
+            ("d c a b d a", "b", {"a": "x1 x2", "b": "x1", "c": "x1 x2 x1 x4", "d": "x3"}, 247),
+            ("a b c d c", "d", None, 1310),
+        ],
+    )
+    def test_fixed_image_budget_edge(self, text, free, expected, steps):
+        # the free variable's image is bound before the search starts; the
+        # search then walks exactly this many candidates
+        phi = parse(text)
+        h = divide_into_zimin_constrained(phi, frozenset({free}), SearchBudget(1, steps))
+        assert (h and h.to_json()) == expected
+        with pytest.raises(SearchBudgetExceeded) as info:
+            divide_into_zimin_constrained(phi, frozenset({free}), SearchBudget(1, steps - 1))
+        assert info.value.steps == steps
 
     def test_non_free_set_rejected(self):
         with pytest.raises(ValueError):

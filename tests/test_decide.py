@@ -1,5 +1,7 @@
+import hashlib
 import importlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,6 @@ from zimrev.decide import (
     ContrapositiveCert,
     LemmaCert,
     ZiminDivisionCert,
-    build_witness,
     check_doubled_pattern,
     check_length_bound,
     conjecture2_probe,
@@ -26,7 +27,7 @@ from zimrev.formulas import EMPTY_FORMULA, FormulaR, PatternR, Sym, parse, patte
 from zimrev.morphisms import SearchBudget
 from zimrev.oracle import WITNESS_OK, verify_witness_prefix
 from zimrev.words import GeneratedSpec, PeriodicSpec, ProductSpec, word
-from zimrev.zimin import is_zimin_factor
+from zimrev.zimin import is_zimin_factor, template
 from zimrev.morphisms import apply_symbolic
 
 # the package re-exports the decide function under the module's name
@@ -132,6 +133,42 @@ class TestDecide:
             assert decide(phi).status == expected, text
 
 
+class TestGoldenCertificates:
+    """Every byte of decide's JSON, pinned by digest: a change to a status,
+    a morphism, a witness or a reason shows here."""
+
+    @staticmethod
+    def _digest(formulas):
+        blob = json.dumps([decide(phi).to_json() for phi in formulas], sort_keys=True)
+        return hashlib.sha256(blob.encode()).hexdigest()
+
+    def test_every_short_binary_pattern(self):
+        # 28 zimin_division, 84 theorem9_contrapositive and 228 lemma
+        # certificates over the 340 patterns of 1-4 symbols
+        syms = [Sym("x"), Sym("x", True), Sym("y"), Sym("y", True)]
+        formulas = [
+            FormulaR([PatternR(combo)])
+            for length in range(1, 5)
+            for combo in itertools.product(syms, repeat=length)
+        ]
+        assert self._digest(formulas) == (
+            "c3c8f17521e45d5ae1127d8b59621a10620043ccb153b6da9b989592e0074611"
+        )
+
+    def test_sharp_windows_of_a_template(self):
+        # the 44 distinct windows of Z(2, 2), every X slot in both
+        # orientations: divisions through merged-X orientation classes
+        slots = template(2, 2).slots
+        windows = sorted({slots[i:j] for i in range(len(slots)) for j in range(i + 2, len(slots) + 1)})
+        formulas = [
+            sharp_formula(" ".join(f"x{i}#" if kind == "x" else f"y{i}" for kind, i in window))
+            for window in windows
+        ]
+        assert self._digest(formulas) == (
+            "79bf9aa54a326de4b45634732b3bb9a43087cfd3d0599de6e840e2be8c2a9673"
+        )
+
+
 class TestCorollaryChecks:
     def test_doubled(self):
         assert check_doubled_pattern(pattern("x y~ x y"))
@@ -204,12 +241,6 @@ class TestLemmas:
 
 
 class TestWitnesses:
-    def test_build_witness_only_for_lemmas(self):
-        cert = lemma_two_way_middle(parse("x y~ . y z . x z"))
-        assert build_witness(cert) == cert.witness
-        with pytest.raises(ValueError):
-            build_witness(ContrapositiveCert(1, 1))
-
     def test_lemma_witnesses_pass_bounded_check(self):
         cases = [
             ("x y~ . y z . x z", lemma_two_way_middle),

@@ -11,8 +11,8 @@ from zimrev.morphisms import (
     SearchBudget,
     SearchBudgetExceeded,
     SymbolicMorphism,
+    WordTarget,
     _ConcreteSearch,
-    _intern,
     _sorted_frags,
     apply_concrete,
     apply_symbolic,
@@ -133,7 +133,7 @@ class TestOccurs:
         # square-free word: which occur and how many candidates the searches
         # walk, rejected ones included
         square_free = generate_power_free(3, Fraction(2), 30, SearchBudget(1, 10**6)).word
-        text, _ = _intern(square_free)
+        text = WordTarget(square_free).text
         syms = [Sym("x"), Sym("x", True), Sym("y"), Sym("y", True)]
         found = steps = 0
         for length in range(1, 5):
@@ -146,7 +146,7 @@ class TestOccurs:
     def test_step_counts_of_every_short_pattern_with_squares(self):
         # the same panel against a 32-letter Thue-Morse prefix, which has
         # squares and even palindromes for the self-lookahead to list
-        text, _ = _intern(word("12212112211212212112122112212112"))
+        text = WordTarget(word("12212112211212212112122112212112")).text
         syms = [Sym("x"), Sym("x", True), Sym("y"), Sym("y", True)]
         found = steps = 0
         for length in range(1, 5):

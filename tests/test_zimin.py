@@ -4,9 +4,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zimrev.formulas import EMPTY_FORMULA, PatternR, Sym, parse, pattern
-from zimrev.morphisms import SearchBudget, SearchBudgetExceeded, apply_symbolic
+from zimrev.formulas import EMPTY_FORMULA, FormulaR, PatternR, Sym, parse, pattern
+from zimrev.morphisms import (
+    FormulaTarget,
+    SearchBudget,
+    SearchBudgetExceeded,
+    _SymbolicSearch,
+    _sorted_frags,
+    apply_symbolic,
+)
 from zimrev.zimin import (
+    TemplateTarget,
     divides_zimin,
     enumerate_fragments,
     is_zimin_factor,
@@ -163,6 +171,33 @@ class TestDividesZimin:
         with pytest.raises(SearchBudgetExceeded) as info:
             divides_zimin(phi, 0, 5, SearchBudget(31, 1208))
         assert info.value.steps == 1209
+
+
+class TestDivisionStepPanel:
+    """Every pattern of 1-4 symbols over x, x~, y, y~ against a division
+    target, with the cap at its fragment length: how many divide it and how
+    many candidates the searches walk, orientation-class members included."""
+
+    @pytest.mark.parametrize(
+        "target,cap,expected",
+        [
+            (lambda: TemplateTarget(template(2, 1)), 5, (28, 5644)),  # merged X classes
+            (lambda: TemplateTarget(template(1, 2)), 7, (28, 20692)),
+            (lambda: TemplateTarget(template(0, 3)), 7, (20, 6580)),  # merge-free
+            (lambda: FormulaTarget(parse("a b a~ c . c~ b a . b b~ a")), 5, (32, 834)),
+        ],
+        ids=["Z(2,1)", "Z(1,2)", "Z(0,3)", "formula"],
+    )
+    def test_step_counts_of_every_short_pattern(self, target, cap, expected):
+        target = target()
+        syms = [Sym("x"), Sym("x", True), Sym("y"), Sym("y", True)]
+        found = steps = 0
+        for length in range(1, 5):
+            for combo in itertools.product(syms, repeat=length):
+                search = _SymbolicSearch(_sorted_frags(FormulaR([PatternR(combo)])), target, cap, 10**7)
+                found += search.run() is not None
+                steps += search.steps
+        assert (found, steps) == expected
 
 
 class TestSufficientLength:
