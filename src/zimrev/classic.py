@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .formulas import (
     EMPTY_FORMULA,
@@ -51,6 +51,10 @@ class AdjacencyGraph:
     def right(self, var: str) -> int:
         return self.component[("r", var)]
 
+    def frees(self, names: Iterable[str]) -> bool:
+        """No left copy of a name shares a component with a right copy."""
+        return not {self.left(v) for v in names} & {self.right(v) for v in names}
+
 
 def adjacency_graph(phi: FormulaR) -> AdjacencyGraph:
     _require_mirror_free(phi)
@@ -86,9 +90,7 @@ def free_sets(phi: FormulaR) -> List[FrozenSet[str]]:
     out: List[FrozenSet[str]] = []
     for size in range(1, len(variables) + 1):
         for subset in combinations(variables, size):
-            left = {graph.left(v) for v in subset}
-            right = {graph.right(v) for v in subset}
-            if not left & right:
+            if graph.frees(subset):
                 out.append(frozenset(subset))
     return out
 
@@ -97,15 +99,12 @@ def is_free(phi: FormulaR, names: FrozenSet[str]) -> bool:
     graph = adjacency_graph(phi)
     if not names or not set(names) <= set(graph.variables):
         return False
-    left = {graph.left(v) for v in names}
-    right = {graph.right(v) for v in names}
-    return not (left & right)
+    return graph.frees(names)
 
 
 def delete(phi: FormulaR, names: FrozenSet[str]) -> FormulaR:
     """One reduction step: delete a free set (fragments are not split;
     empty fragments are discarded)."""
-    _require_mirror_free(phi)
     if not is_free(phi, frozenset(names)):
         raise ValueError(f"{sorted(names)} is not a free set of {phi}")
     return delete_vars(phi, names)
@@ -176,6 +175,17 @@ def zimin_formula(n: int) -> FormulaR:
     return FormulaR([zimin_word(n)])
 
 
+def _divide_into_zimin(
+    phi: FormulaR, budget: Optional[SearchBudget], fixed: Optional[Dict[str, PatternR]] = None
+) -> Optional[SymbolicMorphism]:
+    """Divide phi into Z_n, n its variable count, at the sound image bound
+    2^n - 1 with the caller's step limit."""
+    n = len(formula_vars(phi))
+    steps = budget.max_steps if budget else SearchBudget().max_steps
+    sound = SearchBudget(max_image_len=max(1, 2**n - 1), max_steps=steps)
+    return divides(phi, zimin_formula(n), sound, fixed=fixed)
+
+
 @dataclass
 class ClassicDecision:
     status: str
@@ -193,10 +203,7 @@ def decide_classic(
     """Decide a formula without reversal: unavoidable iff it divides the
     Zimin word on its variable count."""
     _require_mirror_free(phi)
-    n = len(formula_vars(phi))
-    steps = budget.max_steps if budget else SearchBudget().max_steps
-    sound = SearchBudget(max_image_len=max(1, 2**n - 1), max_steps=steps)
-    division = divides(phi, zimin_formula(n), sound)
+    division = _divide_into_zimin(phi, budget)
     reduction = is_reducible(phi) if with_reduction else None
     status = UNAVOIDABLE if division is not None else AVOIDABLE
     return ClassicDecision(status, division, reduction)
@@ -215,8 +222,4 @@ def divide_into_zimin_constrained(
     names = frozenset(names)
     if not is_free(phi, names):
         raise ValueError(f"{sorted(names)} is not a free set of {phi}")
-    n = len(formula_vars(phi))
-    steps = budget.max_steps if budget else SearchBudget().max_steps
-    sound = SearchBudget(max_image_len=max(1, 2**n - 1), max_steps=steps)
-    fixed = {name: PatternR((Sym("x1"),)) for name in names}
-    return divides(phi, zimin_formula(n), sound, fixed=fixed)
+    return _divide_into_zimin(phi, budget, {name: PatternR((Sym("x1"),)) for name in names})

@@ -165,8 +165,8 @@ def _corpus_entry(job) -> dict:
         entry = json.loads(line)
     except json.JSONDecodeError as exc:
         return {"line": line_no, "error": f"malformed JSONL: {exc}"}
-    if not isinstance(entry, dict) or "formula" not in entry:
-        return {"line": line_no, "error": "entry must be an object with a 'formula' field"}
+    if not isinstance(entry, dict) or not isinstance(entry.get("formula"), str):
+        return {"line": line_no, "error": "entry must be an object with a string 'formula' field"}
     try:
         phi = parse(entry["formula"])
     except FormulaSyntaxError as exc:

@@ -4,14 +4,14 @@ The decision logic, for a normalized formula with m two-way and n one-way
 variables:
 
 * a division into Z(m, n) proves unavoidability for any m, n;
-* with m = 0 the formula has no mirror marks and the classic
-  characterization decides: no division means avoidable;
-* with n <= 2 a failed division at the sound bound means avoidable
-  (contrapositive of the characterization for at most two one-way
-  variables), upgraded to a lemma certificate when the battery fires;
-* otherwise a firing lemma proves avoidability, and a failed division alone
-  leaves the formula undecided: finite avoiding words are attached as
-  evidence but never justify an avoidable status.
+* without one, when m > 0 the lemma battery runs, and a firing lemma proves
+  avoidability with an omega-word witness;
+* otherwise, with m = 0 (no mirror marks, where the classic
+  characterization covers every n) or n <= 2, the failed division at the
+  sound bound proves avoidability by the contrapositive of the
+  characterization;
+* otherwise the formula is undecided: a finite avoiding word is attached as
+  evidence but never justifies an avoidable status.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Set, Union
 
 from .classic import ReductionChain, decide_classic
 from .formulas import (
@@ -35,7 +35,7 @@ from .formulas import (
     pattern_vars,
 )
 from .morphisms import SearchBudget, SearchBudgetExceeded, SymbolicMorphism, occurs
-from .oracle import generate_power_free, search_avoiding_word
+from .oracle import WITNESS_IMAGE_BOUND, WITNESS_PREFIX_LEN, generate_power_free, search_avoiding_word
 from .words import (
     GLYPHS,
     GeneratedSpec,
@@ -54,9 +54,6 @@ UNAVOIDABLE = "unavoidable"
 AVOIDABLE = "avoidable"
 UNKNOWN = "unknown"
 
-WITNESS_PREFIX_LEN = 300
-WITNESS_IMAGE_BOUND = 30
-
 _WITNESS_STEPS = 2_000_000
 _AVOIDER_STEPS = 150_000  # per alphabet size; a stuck tree just moves on
 EVIDENCE_LENGTH = 50
@@ -66,6 +63,8 @@ EVIDENCE_MAX_ALPHABET = 5
 # works), so starting at 3 only skips alphabets a ternary success would
 # subsume; binary avoider trees can be huge and are never needed.
 _AVOIDER_ALPHABETS = (3, 4, 5)
+
+_PERIOD_123 = PeriodicSpec(word("123"))
 
 
 @dataclass
@@ -169,27 +168,11 @@ def check_length_bound(p: PatternR) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _power_free_component(num_vars: int, prefix_len: int) -> Optional[GeneratedSpec]:
-    half = 2 ** (num_vars - 1)
-    q = half + 2
-    if q > len(GLYPHS):
-        return None
-    alpha = Fraction(half + 1, half)
+def _power_free_component(q: int, alpha: Fraction, prefix_len: int) -> Optional[GeneratedSpec]:
     report = generate_power_free(q, alpha, prefix_len, SearchBudget(1, _WITNESS_STEPS))
     if report.word is None:
         return None
     return GeneratedSpec(q, alpha, report.word)
-
-
-@lru_cache(maxsize=None)
-def _square_free_component(prefix_len: int) -> Optional[GeneratedSpec]:
-    report = generate_power_free(3, Fraction(2), prefix_len, SearchBudget(1, _WITNESS_STEPS))
-    if report.word is None:
-        return None
-    return GeneratedSpec(3, Fraction(2), report.word)
-
-
-_flat_witness_cache: Dict[Tuple[FormulaR, int], Optional[ProductSpec]] = {}
 
 
 def _square_free_avoids(phi: FormulaR, square_free: GeneratedSpec, image_bound: int) -> Optional[bool]:
@@ -201,32 +184,41 @@ def _square_free_avoids(phi: FormulaR, square_free: GeneratedSpec, image_bound: 
         return None
 
 
+def _avoiding_word(
+    phi: FormulaR, length: int, image_bound: int, max_alphabet: int, give_up_on_budget: bool
+) -> Optional[GeneratedSpec]:
+    """A word of the given length over at most max_alphabet letters that
+    admits no occurrence of phi with images up to image_bound.
+
+    The canonical ternary square-free word comes first: it avoids any phi
+    whose instances force a square, which covers most desk-scale formulas.
+    When its absence proof runs out of budget, give_up_on_budget decides
+    between no word and the bounded avoider search."""
+    if max_alphabet < _AVOIDER_ALPHABETS[0]:
+        return None
+    square_free = _power_free_component(3, Fraction(2), length)
+    avoided = square_free is not None and _square_free_avoids(phi, square_free, image_bound)
+    if avoided:
+        return square_free
+    if avoided is None and give_up_on_budget:
+        return None
+    for k in _AVOIDER_ALPHABETS:
+        if k > max_alphabet:
+            break
+        report = search_avoiding_word(phi, k, length, SearchBudget(image_bound, _AVOIDER_STEPS))
+        if report.word is not None:
+            return GeneratedSpec(k, None, report.word)
+    return None
+
+
+@lru_cache(maxsize=None)
 def _flat_witness(flat: FormulaR, prefix_len: int) -> Optional[ProductSpec]:
-    key = (flat, prefix_len)
-    if key not in _flat_witness_cache:
-        spec = None
-        # fast path: the canonical square-free word avoids any flat whose
-        # instances force a square, which covers most desk-scale flats; when
-        # its absence proof runs out of budget (None) there is no witness, as
-        # the avoider search at this prefix length would cost far more
-        square_free = _square_free_component(prefix_len)
-        avoided = square_free is not None and _square_free_avoids(
-            flat, square_free, WITNESS_IMAGE_BOUND
-        )
-        if avoided:
-            spec = ProductSpec(square_free, PeriodicSpec(word("123")))
-        elif avoided is not None:
-            for k in _AVOIDER_ALPHABETS:
-                report = search_avoiding_word(
-                    flat, k, prefix_len, SearchBudget(WITNESS_IMAGE_BOUND, _AVOIDER_STEPS)
-                )
-                if report.word is not None:
-                    spec = ProductSpec(
-                        GeneratedSpec(k, None, report.word), PeriodicSpec(word("123"))
-                    )
-                    break
-        _flat_witness_cache[key] = spec
-    return _flat_witness_cache[key]
+    # an exhausted absence proof gives no witness: the avoider search at this
+    # prefix length would cost far more
+    component = _avoiding_word(
+        flat, prefix_len, WITNESS_IMAGE_BOUND, _AVOIDER_ALPHABETS[-1], give_up_on_budget=True
+    )
+    return None if component is None else ProductSpec(component, _PERIOD_123)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +239,7 @@ def lemma_two_way_middle(phi: FormulaR) -> Optional[LemmaCert]:
         for x in lefts:
             for z in rights:
                 if (x, z) in pairs:
-                    return LemmaCert("two_way_middle", PeriodicSpec(word("123")))
+                    return LemmaCert("two_way_middle", _PERIOD_123)
     return None
 
 
@@ -265,7 +257,7 @@ def lemma_all_two_way(phi: FormulaR) -> Optional[LemmaCert]:
     if len(classes) == 1:
         if not _has_adjacent_mirror_pair(phi):
             return None
-    elif not _some_var_repeats_in_fragment(phi):
+    elif not _repeated_in_a_fragment(phi):
         return None
     m_prime = 2 ** (len(classes) - 1) + 1
     if m_prime > len(GLYPHS):
@@ -280,13 +272,15 @@ def lemma_one_way_twice(phi: FormulaR, prefix_len: int = WITNESS_PREFIX_LEN) -> 
     one_ways = [v for v, tag in classes.items() if tag == ONE_WAY]
     if not one_ways:
         return None
-    for y in one_ways:
-        if not _var_repeats_in_some_fragment(phi, y):
-            return None
-    component = _power_free_component(len(classes), prefix_len)
+    if not _repeated_in_a_fragment(phi).issuperset(one_ways):
+        return None
+    half = 2 ** (len(classes) - 1)
+    if half + 2 > len(GLYPHS):
+        return None
+    component = _power_free_component(half + 2, Fraction(half + 1, half), prefix_len)
     if component is None:
         return None
-    return LemmaCert("one_way_twice", ProductSpec(component, PeriodicSpec(word("123"))))
+    return LemmaCert("one_way_twice", ProductSpec(component, _PERIOD_123))
 
 
 def lemma_flat(phi: FormulaR, prefix_len: int = WITNESS_PREFIX_LEN) -> Optional[LemmaCert]:
@@ -301,14 +295,16 @@ def lemma_flat(phi: FormulaR, prefix_len: int = WITNESS_PREFIX_LEN) -> Optional[
     return LemmaCert("flat", witness)
 
 
-def _some_var_repeats_in_fragment(phi: FormulaR) -> bool:
+def _repeated_in_a_fragment(phi: FormulaR) -> Set[str]:
+    """The variables that occur at least twice inside one fragment."""
+    repeated: Set[str] = set()
     for frag in phi:
-        counts: Dict[str, int] = {}
+        seen: Set[str] = set()
         for s in frag:
-            counts[s.var] = counts.get(s.var, 0) + 1
-            if counts[s.var] >= 2:
-                return True
-    return False
+            if s.var in seen:
+                repeated.add(s.var)
+            seen.add(s.var)
+    return repeated
 
 
 def _has_adjacent_mirror_pair(phi: FormulaR) -> bool:
@@ -319,25 +315,15 @@ def _has_adjacent_mirror_pair(phi: FormulaR) -> bool:
     )
 
 
-def _var_repeats_in_some_fragment(phi: FormulaR, name: str) -> bool:
-    for frag in phi:
-        if sum(1 for s in frag if s.var == name) >= 2:
-            return True
-    return False
-
-
 def _lemma_battery(phi_n: FormulaR, prefix_len: int) -> Optional[LemmaCert]:
     """Cheapest checks first; the order affects only the certificate."""
     if len(phi_n) == 1:
         frag = phi_n.fragments[0]
-        if check_doubled_pattern(frag):
+        doubled = check_doubled_pattern(frag)
+        if doubled or check_length_bound(frag):
             witness = _flat_witness(flatten(phi_n), prefix_len)
             if witness is not None:
-                return LemmaCert("doubled", witness)
-        if check_length_bound(frag):
-            witness = _flat_witness(flatten(phi_n), prefix_len)
-            if witness is not None:
-                return LemmaCert("length_bound", witness)
+                return LemmaCert("doubled" if doubled else "length_bound", witness)
     for rule in (lemma_two_way_middle, lemma_all_two_way):
         cert = rule(phi_n)
         if cert is not None:
@@ -353,19 +339,9 @@ def _lemma_battery(phi_n: FormulaR, prefix_len: int) -> Optional[LemmaCert]:
 
 
 def _search_evidence(phi: FormulaR, length: int, max_alphabet: int) -> Optional[EvidenceCert]:
-    if max_alphabet >= 3 and length == EVIDENCE_LENGTH:
-        # a fast path that runs out of budget is no evidence; the bounded
-        # avoider loop below still gets its turn
-        square_free = _square_free_component(length)
-        if square_free is not None and _square_free_avoids(phi, square_free, length):
-            return EvidenceCert(square_free.prefix, 3, length)
-    for k in _AVOIDER_ALPHABETS:
-        if k > max_alphabet:
-            break
-        report = search_avoiding_word(phi, k, length, SearchBudget(length, _AVOIDER_STEPS))
-        if report.word is not None:
-            return EvidenceCert(report.word, k, length)
-    return None
+    # an exhausted absence proof is no evidence; the avoider search gets its turn
+    found = _avoiding_word(phi, length, length, max_alphabet, give_up_on_budget=False)
+    return None if found is None else EvidenceCert(found.prefix, found.alphabet_size, length)
 
 
 def decide(
@@ -381,8 +357,12 @@ def decide(
 
     The formula is normalized internally.  The division search always runs at
     the sound image bound (the Z(m, n) fragment length); the caller's budget
-    contributes the step limit.  Pass ``evidence=True`` to attach a finite
-    avoiding word to avoidable verdicts; undecided verdicts always try.
+    contributes the step limit.  Without a division one flow follows: the
+    lemma battery when m > 0, else the contrapositive certificate where the
+    characterization applies (m = 0 or n <= 2), else ``unknown``.  Pass
+    ``evidence=True`` to attach a finite avoiding word to every avoidable
+    verdict; undecided verdicts always try.  Evidence tries the ternary
+    square-free prefix first at any ``evidence_length``.
     """
     budget = budget or SearchBudget()
     phi_n = normalize(phi)
@@ -402,32 +382,25 @@ def decide(
     if division is not None:
         return Verdict(phi, UNAVOIDABLE, m, n, ZiminDivisionCert(m, n, division))
 
-    if m == 0 or n <= 2:
-        cert: Optional[Certificate] = None
-        if m > 0:
-            cert = _lemma_battery(phi_n, witness_prefix_len)
-        if cert is None:
-            cert = ContrapositiveCert(m, n)
-        verdict = Verdict(phi, AVOIDABLE, m, n, cert)
-        if evidence:
-            found = _search_evidence(phi_n, evidence_length, evidence_max_alphabet)
-            if found is not None:
-                verdict.evidence = found.to_json()
-        return verdict
-
-    cert = _lemma_battery(phi_n, witness_prefix_len)
-    if cert is not None:
-        return Verdict(phi, AVOIDABLE, m, n, cert)
-    found = _search_evidence(phi_n, evidence_length, evidence_max_alphabet)
-    return Verdict(
-        phi,
-        UNKNOWN,
-        m,
-        n,
-        found,
-        reason="no division at the sound bound and no lemma fires; "
-        "a finite avoiding word is not a proof of avoidability",
-    )
+    cert: Optional[Certificate] = _lemma_battery(phi_n, witness_prefix_len) if m > 0 else None
+    if cert is None and (m == 0 or n <= 2):
+        cert = ContrapositiveCert(m, n)
+    if cert is None:
+        return Verdict(
+            phi,
+            UNKNOWN,
+            m,
+            n,
+            _search_evidence(phi_n, evidence_length, evidence_max_alphabet),
+            reason="no division at the sound bound and no lemma fires; "
+            "a finite avoiding word is not a proof of avoidability",
+        )
+    verdict = Verdict(phi, AVOIDABLE, m, n, cert)
+    if evidence:
+        found = _search_evidence(phi_n, evidence_length, evidence_max_alphabet)
+        if found is not None:
+            verdict.evidence = found.to_json()
+    return verdict
 
 
 # ---------------------------------------------------------------------------

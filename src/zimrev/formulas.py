@@ -60,8 +60,6 @@ class PatternR:
         return iter(self.syms)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.syms[index]
         return self.syms[index]
 
     def key(self):

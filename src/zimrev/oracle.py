@@ -27,6 +27,7 @@ from typing import Dict, List, Optional
 
 from .formulas import FormulaR
 from .morphisms import (
+    DEFAULT_MAX_STEPS,
     SearchBudget,
     SearchBudgetExceeded,
     _ConcreteSearch,
@@ -42,6 +43,11 @@ WITNESS_OK = "witness_ok"
 FAILED = "failed"
 
 ENCOUNTER_GUARD = 2**20
+
+# The witness scale: generated omega-word prefixes have this length and are
+# checked for occurrences with images up to this bound.
+WITNESS_PREFIX_LEN = 300
+WITNESS_IMAGE_BOUND = 30
 
 
 @dataclass
@@ -350,9 +356,9 @@ def generate_power_free(
 def verify_witness_prefix(
     spec: OmegaWordSpec,
     phi: FormulaR,
-    prefix_len: int = 300,
-    image_bound: int = 30,
-    max_steps: int = 10_000_000,
+    prefix_len: int = WITNESS_PREFIX_LEN,
+    image_bound: int = WITNESS_IMAGE_BOUND,
+    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> OracleReport:
     """Bounded sanity check of an omega-word witness: the length-`prefix_len`
     prefix must admit no occurrence of phi with images up to `image_bound`.

@@ -40,6 +40,13 @@ class TestDecideCommand:
         _, out2, _ = run_cli(capsys, "decide", "x y x~")
         assert out1 == out2
 
+    def test_evidence_on_lemma_verdict(self, capsys):
+        code, data, _ = run_json(capsys, "decide", "--evidence", "y y z z w w x x~")
+        assert code == 0
+        assert data["status"] == "avoidable"
+        assert data["certificate"]["name"] == "doubled"
+        assert data["evidence"]["kind"] == "evidence_only"
+
 
 class TestDividesCommand:
     def test_worked_example(self, capsys):
@@ -150,6 +157,13 @@ class TestCorpusCommand:
     def test_malformed_line_reported(self, tmp_path, capsys):
         path = tmp_path / "broken.jsonl"
         path.write_text('{"formula": "x"}\nnot json at all\n')
+        code, out, err = run_cli(capsys, "--jobs", "1", "corpus", str(path))
+        assert code == 2
+        assert "line 2" in err
+
+    def test_non_string_formula_reported(self, tmp_path, capsys):
+        path = tmp_path / "broken.jsonl"
+        path.write_text('{"formula": "x"}\n{"formula": 5}\n')
         code, out, err = run_cli(capsys, "--jobs", "1", "corpus", str(path))
         assert code == 2
         assert "line 2" in err

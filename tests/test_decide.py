@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from zimrev.decide import (
 )
 from zimrev.formulas import EMPTY_FORMULA, FormulaR, PatternR, Sym, parse, pattern, rename_vars
 from zimrev.morphisms import SearchBudget
-from zimrev.oracle import WITNESS_OK, verify_witness_prefix
+from zimrev.oracle import WITNESS_OK, generate_power_free, verify_witness_prefix
 from zimrev.words import GeneratedSpec, PeriodicSpec, ProductSpec, word
 from zimrev.zimin import is_zimin_factor, template
 from zimrev.morphisms import apply_symbolic
@@ -256,19 +257,37 @@ class TestWitnesses:
             assert report.mode == WITNESS_OK, (text, report.detail)
 
     def test_flat_witness_budget_exhaustion_means_no_witness(self, monkeypatch):
-        decide_mod._square_free_component(WITNESS_PREFIX_LEN)  # cached before the budget shrinks
-        monkeypatch.setattr(decide_mod, "_flat_witness_cache", {})
+        # cached before the budget shrinks
+        decide_mod._power_free_component(3, Fraction(2), WITNESS_PREFIX_LEN)
         monkeypatch.setattr(decide_mod, "_WITNESS_STEPS", 1)
         monkeypatch.setattr(
             decide_mod, "search_avoiding_word", lambda *a: pytest.fail("avoider search ran")
         )
-        assert decide_mod._flat_witness(parse("x x"), WITNESS_PREFIX_LEN) is None
+        # the uncached function: a cached witness would skip the absence proof
+        assert decide_mod._flat_witness.__wrapped__(parse("x x"), WITNESS_PREFIX_LEN) is None
 
     def test_evidence_budget_exhaustion_falls_back_to_avoider_search(self, monkeypatch):
-        decide_mod._square_free_component(50)  # cached before the budget shrinks
+        decide_mod._power_free_component(3, Fraction(2), 50)  # cached before the budget shrinks
         monkeypatch.setattr(decide_mod, "_WITNESS_STEPS", 1)
         found = decide_mod._search_evidence(parse("x x"), 50, 3)
         assert found is not None and found.alphabet_size == 3
+
+    def test_evidence_square_free_fast_path_at_any_length(self, monkeypatch):
+        monkeypatch.setattr(
+            decide_mod, "search_avoiding_word", lambda *a: pytest.fail("avoider search ran")
+        )
+        found = decide_mod._search_evidence(parse("x x"), 40, 3)
+        assert found is not None
+        assert (found.alphabet_size, found.length) == (3, 40)
+        assert found.word == generate_power_free(3, Fraction(2), 40).word
+
+    def test_evidence_on_every_avoidable_verdict(self):
+        # m = 1, n = 3: the lemma battery decides, and evidence still rides along
+        v = decide(parse("y y z z w w x x~"), evidence=True)
+        assert v.status == AVOIDABLE
+        assert (v.m, v.n) == (1, 3)
+        assert v.certificate.name == "doubled"
+        assert v.evidence is not None and v.evidence["kind"] == "evidence_only"
 
     def test_decide_certificates_never_contradict_division(self):
         # an unavoidable verdict and a verified lemma witness must not coexist
