@@ -3,7 +3,7 @@
 Verdicts come with machine-checkable certificates: divisions into Zimin
 formulas with reversal for unavoidability, lemma-based omega-word witnesses
 or the contrapositive of the two-one-way-variable characterization for
-avoidability, cross-validated by an independent brute-force oracle.
+avoidability, cross-validated by a brute-force oracle.
 """
 
 from .classic import (

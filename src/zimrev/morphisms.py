@@ -78,7 +78,7 @@ from itertools import accumulate
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .formulas import FormulaR, PatternR, Sym, d_reverse_syms
-from .words import Letter, Word, is_factor, letter_key
+from .words import Letter, Word, is_factor, letter_key, word_to_json
 
 DEFAULT_MAX_IMAGE_LEN = 16
 DEFAULT_MAX_STEPS = 10_000_000
@@ -114,8 +114,6 @@ class ConcreteMorphism:
                 raise ValueError(f"morphism must be non-erasing, {var} has empty image")
 
     def to_json(self) -> dict:
-        from .words import word_to_json
-
         return {var: word_to_json(img) for var, img in sorted(self.assignment.items())}
 
 

@@ -1,29 +1,38 @@
-"""Independent brute-force ground truth.
+"""Brute-force ground truth.
 
 Depth-first avoiding-word search, exhaustive encounter checks, bounded
-witness verification, and power-free word generation.  The avoider search
-prunes each extension with an end-anchored occurrence check (only images
-touching the new suffix are re-parsed) and runs a full occurrence check on
-candidate acceptance.  In that anchored check a variable that occurs once in
-the whole formula is a gap: once the symbols left of it in its fragment are
-bound, one ``str.find`` of their joined images over the window its length
-allows replaces the loop over its lengths.  Nothing else mentions the gap, so
-its length only moves where those symbols must end and cannot change the
-completion of the other fragments; the check returns the same boolean as the
-loop, and the DFS visits the same nodes.
+witness verification, and power-free word generation.  Both searches run on
+one backtracking driver (``_dfs``), which owns the choice stack, the node
+count, the step budget and the report; each search supplies only its prune
+and its acceptance check.  The avoider search prunes each extension with an
+end-anchored occurrence check (only images touching the new suffix are
+re-parsed) and runs a full occurrence check on candidate acceptance.  In
+that anchored check a variable that occurs once in the whole formula is a
+gap: once the symbols left of it in its fragment are bound, one ``str.find``
+of their joined images over the window its length allows replaces the loop
+over its lengths.  Nothing else mentions the gap, so its length only moves
+where those symbols must end and cannot change the completion of the other
+fragments; the check returns the same boolean as the loop, and the DFS
+visits the same nodes.
 
 Power-free generation keeps per-period repetition runs incrementally and
 re-verifies the final word with the exponent scan, which shares no code with
 the pruning.
+
+The rest is not independent of the search path: the avoider search
+completes the other fragments with the concrete occurrence search and
+accepts words through ``occurs``, and ``all_words_encounter`` and
+``verify_witness_prefix`` run ``occurs`` too.  A checker that shares no code
+with the search is ROADMAP item 4.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .formulas import FormulaR
 from .morphisms import (
@@ -34,7 +43,7 @@ from .morphisms import (
     _sorted_frags,
     occurs,
 )
-from .words import OmegaWordSpec, Word, alphabet, materialize, max_exponent
+from .words import OmegaWordSpec, Word, alphabet, materialize, max_exponent, word_to_json
 
 AVOIDER_FOUND = "avoider_found"
 TREE_EXHAUSTED = "tree_exhausted"
@@ -55,19 +64,10 @@ class OracleReport:
     mode: str
     word: Optional[Word] = None
     nodes: int = 0
-    elapsed: float = 0.0
     params: dict = field(default_factory=dict)
     detail: Optional[dict] = None
 
-    @property
-    def ok(self) -> bool:
-        return self.mode in (AVOIDER_FOUND, WITNESS_OK)
-
     def to_json(self) -> dict:
-        # elapsed is kept off the wire so identical inputs serialize
-        # byte-identically; it stays on the object for humans.
-        from .words import word_to_json
-
         out = {"mode": self.mode, "nodes": self.nodes, "params": self.params}
         if self.word is not None:
             out["word"] = word_to_json(self.word)
@@ -79,14 +79,55 @@ class OracleReport:
 _COMPLETION_STEPS = 1_000_000
 
 
+def _dfs(glyphs, length, max_steps, params, extend, accept) -> OracleReport:
+    """Depth-first search over the words of `length` letters from glyphs,
+    lowest letter first; every node counts against `max_steps`.
+
+    ``extend(text, parent)`` gets a new node's text and its parent's state
+    (None at the root) and returns the node's state, or None to prune it.
+    ``accept(word)`` re-checks a full-length node that was not pruned.
+    """
+    k = len(glyphs)
+    text = ""
+    states: list = [None]
+    choice = [0]
+    nodes = 0
+    while choice:
+        if choice[-1] >= k:
+            choice.pop()
+            states.pop()
+            text = text[:-1]
+            continue
+        candidate = text + glyphs[choice[-1]]
+        choice[-1] += 1
+        nodes += 1
+        if nodes > max_steps:
+            return OracleReport(BUDGET_EXHAUSTED, nodes=nodes, params=params)
+        state = extend(candidate, states[-1])
+        if state is None:
+            continue
+        if len(candidate) == length:
+            found = Word(tuple(candidate))
+            if accept(found):
+                return OracleReport(AVOIDER_FOUND, word=found, nodes=nodes, params=params)
+            continue
+        text = candidate
+        states.append(state)
+        choice.append(0)
+    return OracleReport(TREE_EXHAUSTED, nodes=nodes, params=params)
+
+
 class _AnchoredMatcher:
     """Occurrence checks anchored at the last position of a growing word.
 
     Per fragment a right-to-left match plan is prepared once: bind blocks
-    from the end, check repeat blocks against the stored image (both
-    orientations cached), then complete the remaining fragments anywhere.
-    A variable with k blocks in its fragment gets a per-variable length cap
-    of (n - other_blocks) / k, which trims the length loops substantially.
+    from the end, check repeat blocks against the stored image, then
+    complete the remaining fragments anywhere.  A bound variable is one
+    immutable ``(image, reversal, length)`` entry, read by the mirror mark;
+    the reversal is computed at bind time if the variable occurs mirrored
+    anywhere in the formula, and is None otherwise.  A variable with k
+    blocks in its fragment gets a per-variable length cap of
+    (n - other_blocks) / k, which trims the length loops substantially.
 
     A variable that occurs once in the whole formula is a gap when every
     symbol left of it in its fragment is bound earlier in the plan: its
@@ -99,10 +140,8 @@ class _AnchoredMatcher:
     """
 
     def __init__(self, frags):
-        uses: Dict[str, int] = {}
-        for frag in frags:
-            for s in frag:
-                uses[s.var] = uses.get(s.var, 0) + 1
+        uses = Counter(s.var for frag in frags for s in frag)
+        flips = {s.var for frag in frags for s in frag if s.mirrored}
         self.plans = []
         for i, frag in enumerate(frags):
             total = len(frag)
@@ -115,11 +154,9 @@ class _AnchoredMatcher:
                 rest = None
                 if uses[s.var] == 1 and all(t.var in bound for t in left):
                     rest = tuple((t.var, t.mirrored) for t in left)
-                plan.append((s.var, s.mirrored, tail, rest))
+                plan.append((s.var, s.mirrored, s.var in flips, tail, rest))
                 bound.add(s.var)
-            counts: Dict[str, int] = {}
-            for s in frag:
-                counts[s.var] = counts.get(s.var, 0) + 1
+            counts = Counter(s.var for s in frag)
             self.plans.append((tuple(plan), counts, frags[:i] + frags[i + 1 :]))
 
     def occurrence_ending_at(self, text: str, cap: int) -> bool:
@@ -157,31 +194,17 @@ class _AnchoredMatcher:
     def _match(self, plan, idx, text, end, caps, assignment, others, cap) -> bool:
         if idx == len(plan):
             return self._complete(text, assignment, others, cap)
-        var, mirrored, tail, rest = plan[idx]
+        var, mirrored, flips, tail, rest = plan[idx]
         entry = assignment.get(var)
         if entry is not None:
-            if mirrored:
-                seg = entry[1]
-                if seg is None:
-                    seg = entry[0][::-1]
-                    entry[1] = seg
-            else:
-                seg = entry[0]
             start = end - entry[2]
-            if start >= tail and text.startswith(seg, start, end):
+            if start >= tail and text.startswith(entry[mirrored], start, end):
                 return self._match(plan, idx + 1, text, start, caps, assignment, others, cap)
             return False
         if rest is not None:
-            parts = []
+            seg = ""
             for v, m in rest:
-                entry = assignment[v]
-                if m:
-                    if entry[1] is None:
-                        entry[1] = entry[0][::-1]
-                    parts.append(entry[1])
-                else:
-                    parts.append(entry[0])
-            seg = "".join(parts)
+                seg += assignment[v][m]
             # seg must end at end - ln for some 1 <= ln <= caps[var]
             if text.find(seg, max(0, end - caps[var] - len(seg)), end - 1) < 0:
                 return False
@@ -196,9 +219,11 @@ class _AnchoredMatcher:
             start = end - ln
             seg = text[start:end]
             if mirrored:
-                assignment[var] = [seg[::-1], seg, ln]
+                assignment[var] = (seg[::-1], seg, ln)
+            elif flips:
+                assignment[var] = (seg, seg[::-1], ln)
             else:
-                assignment[var] = [seg, None, ln]
+                assignment[var] = (seg, None, ln)
             if match(plan, nxt, text, start, caps, assignment, others, cap):
                 return True
         if var in assignment:
@@ -221,50 +246,25 @@ def search_avoiding_word(
         raise ValueError("alphabet size and length must be >= 1")
     budget = budget or SearchBudget()
     params = {"alphabet_size": k, "length": length, "max_image_len": budget.max_image_len}
-    started = time.monotonic()
     glyphs = alphabet(k)
     frags = _sorted_frags(phi)
     if not frags:
         # the empty formula occurs vacuously in every word
-        return OracleReport(TREE_EXHAUSTED, nodes=0, elapsed=time.monotonic() - started, params=params)
+        return OracleReport(TREE_EXHAUSTED, nodes=0, params=params)
     matcher = _AnchoredMatcher(frags)
     cap = min(budget.max_image_len, length)
-    steps = 0
-    text = ""
-    choice: List[int] = [0]
-    while choice:
-        if choice[-1] >= k:
-            choice.pop()
-            text = text[:-1]
-            continue
-        letter = glyphs[choice[-1]]
-        choice[-1] += 1
-        steps += 1
-        if steps > budget.max_steps:
-            return OracleReport(
-                BUDGET_EXHAUSTED, nodes=steps, elapsed=time.monotonic() - started, params=params
-            )
-        candidate = text + letter
-        if matcher.occurrence_ending_at(candidate, cap):
-            continue
-        if len(candidate) == length:
-            found = Word(tuple(candidate))
-            try:
-                check = occurs(phi, found, SearchBudget(cap, _COMPLETION_STEPS))
-            except SearchBudgetExceeded:
-                continue  # cannot certify this candidate; keep searching
-            if check is None:
-                return OracleReport(
-                    AVOIDER_FOUND,
-                    word=found,
-                    nodes=steps,
-                    elapsed=time.monotonic() - started,
-                    params=params,
-                )
-            continue  # anchored pruning missed it; the full check rules
-        text = candidate
-        choice.append(0)
-    return OracleReport(TREE_EXHAUSTED, nodes=steps, elapsed=time.monotonic() - started, params=params)
+
+    def avoids(text: str, _) -> Optional[str]:
+        return None if matcher.occurrence_ending_at(text, cap) else text
+
+    def accept(found: Word) -> bool:
+        # the anchored pruning may miss an occurrence; the full check rules
+        try:
+            return occurs(phi, found, SearchBudget(cap, _COMPLETION_STEPS)) is None
+        except SearchBudgetExceeded:
+            return False  # cannot certify this candidate; keep searching
+
+    return _dfs(glyphs, length, budget.max_steps, params, avoids, accept)
 
 
 def all_words_encounter(phi: FormulaR, k: int, length: int) -> bool:
@@ -300,57 +300,28 @@ def generate_power_free(
         raise ValueError("length must be >= 1")
     budget = budget or SearchBudget()
     params = {"alphabet_size": q, "alpha": str(alpha), "length": length}
-    started = time.monotonic()
-    glyphs = alphabet(q)
     num, den = alpha.numerator, alpha.denominator
     over = num - den  # reject period p when run * den >= p * over
 
-    letters: List[str] = []
-    runs_stack: List[List[int]] = []
-    choice: List[int] = [0]
-    steps = 0
-    while choice:
-        depth = len(choice) - 1
-        if choice[-1] >= q:
-            choice.pop()
-            if letters:
-                letters.pop()
-                runs_stack.pop()
-            continue
-        letter = glyphs[choice[-1]]
-        choice[-1] += 1
-        steps += 1
-        if steps > budget.max_steps:
-            return OracleReport(
-                BUDGET_EXHAUSTED, nodes=steps, elapsed=time.monotonic() - started, params=params
-            )
-        prev_runs = runs_stack[-1] if runs_stack else []
+    def runs_below(text: str, prev: Optional[List[int]]) -> Optional[List[int]]:
+        # runs[p - 1]: length of the repetition of period p ending here
+        depth = len(text) - 1
+        letter = text[depth]
         runs = [0] * depth
-        ok = True
         for p in range(1, depth + 1):
-            if letters[depth - p] == letter:
-                run = (prev_runs[p - 1] if p <= len(prev_runs) else 0) + 1
+            if text[depth - p] == letter:
+                run = (prev[p - 1] if p <= len(prev) else 0) + 1
                 runs[p - 1] = run
                 if run * den >= p * over:
-                    ok = False
-                    break
-        if not ok:
-            continue
-        letters.append(letter)
-        runs_stack.append(runs)
-        if len(letters) == length:
-            result = Word(tuple(letters))
-            if max_exponent(result) >= alpha:
-                raise RuntimeError("incremental power check disagrees with the exponent scan")
-            return OracleReport(
-                AVOIDER_FOUND,
-                word=result,
-                nodes=steps,
-                elapsed=time.monotonic() - started,
-                params=params,
-            )
-        choice.append(0)
-    return OracleReport(TREE_EXHAUSTED, nodes=steps, elapsed=time.monotonic() - started, params=params)
+                    return None
+        return runs
+
+    def accept(found: Word) -> bool:
+        if max_exponent(found) >= alpha:
+            raise RuntimeError("incremental power check disagrees with the exponent scan")
+        return True
+
+    return _dfs(alphabet(q), length, budget.max_steps, params, runs_below, accept)
 
 
 def verify_witness_prefix(
@@ -366,16 +337,9 @@ def verify_witness_prefix(
     Explicitly not a proof of omega-avoidance.  Materialization failures
     raise; an occurrence yields a `failed` report carrying the morphism.
     """
-    started = time.monotonic()
     prefix = materialize(spec, prefix_len)
     params = {"prefix_len": prefix_len, "image_bound": image_bound}
     found = occurs(phi, prefix, SearchBudget(image_bound, max_steps))
-    elapsed = time.monotonic() - started
     if found is None:
-        return OracleReport(WITNESS_OK, elapsed=elapsed, params=params)
-    return OracleReport(
-        FAILED,
-        elapsed=elapsed,
-        params=params,
-        detail={"occurrence": found.to_json()},
-    )
+        return OracleReport(WITNESS_OK, params=params)
+    return OracleReport(FAILED, params=params, detail={"occurrence": found.to_json()})

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property, lru_cache
+from typing import List, Optional, Tuple
 
 from .formulas import EMPTY_FORMULA, FormulaR, PatternR, Sym
 from .morphisms import SearchBudget, SymbolicMorphism, _SymbolTarget, _run_symbolic
@@ -92,16 +92,11 @@ class ZiminTemplate:
         return True
 
 
-_template_cache: Dict[Tuple[int, int], ZiminTemplate] = {}
-
-
+@lru_cache(maxsize=None)
 def template(m: int, n: int) -> ZiminTemplate:
     if m < 0 or n < 0:
         raise ValueError("m and n must be >= 0")
-    key = (m, n)
-    if key not in _template_cache:
-        _template_cache[key] = ZiminTemplate(m, n, _build_slots(m, n))
-    return _template_cache[key]
+    return ZiminTemplate(m, n, _build_slots(m, n))
 
 
 def is_zimin_factor(u: PatternR, m: int, n: int) -> bool:
@@ -159,7 +154,9 @@ class TemplateTarget(_SymbolTarget):
         super().__init__([syms], merged=[x_name(i) for i in range(1, tpl.m + 1)])
 
 
-_target_cache: Dict[Tuple[int, int], TemplateTarget] = {}
+@lru_cache(maxsize=None)
+def _template_target(m: int, n: int) -> TemplateTarget:
+    return TemplateTarget(template(m, n))
 
 
 def divides_zimin(
@@ -171,10 +168,7 @@ def divides_zimin(
     are capped at the fragment length, so None at that bound is a proof of
     non-division.
     """
-    key = (m, n)
-    if key not in _target_cache:
-        _target_cache[key] = TemplateTarget(template(m, n))
-    return _run_symbolic(phi, _target_cache[key], lambda u: is_zimin_factor(u, m, n), budget)
+    return _run_symbolic(phi, _template_target(m, n), lambda u: is_zimin_factor(u, m, n), budget)
 
 
 def sufficient_length(m: int, n: int, k: int) -> int:

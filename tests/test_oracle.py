@@ -44,6 +44,7 @@ class TestSearchAvoidingWord:
     def test_budget_exhaustion_reported(self):
         report = search_avoiding_word(parse("x x"), 3, 40, SearchBudget(40, 10))
         assert report.mode == BUDGET_EXHAUSTED
+        assert report.nodes == 11
         assert report.word is None
 
     def test_found_words_reverify(self):
@@ -141,15 +142,40 @@ class TestAllWordsEncounter:
 
 
 class TestGeneratePowerFree:
+    # the node counts and words pin the backtracking order, lowest letter first
     def test_ternary_square_free(self):
         report = generate_power_free(3, Fraction(2), 100)
         assert report.mode == AVOIDER_FOUND
         assert max_exponent(report.word) < 2
+        assert report.nodes == 227
+        assert "".join(report.word.letters) == (
+            "12131231321231213123132131213212312131231321231213212313213121321231213123"
+            "13212321312132123121312313"
+        )
 
     def test_four_letter_three_halves(self):
         report = generate_power_free(4, Fraction(3, 2), 200)
         assert report.mode == AVOIDER_FOUND
         assert max_exponent(report.word) < Fraction(3, 2)
+        assert report.nodes == 633
+        assert "".join(report.word.letters) == (
+            "12314213241234214312413214231243213412314213243123413214231241342143123413"
+            "24314213412314321342312413214234124314213241231432134124314234132143123421"
+            "3241231421341243142341324312342143241231421324312341"
+        )
+
+    def test_five_letter_four_thirds(self):
+        report = generate_power_free(5, Fraction(4, 3), 60)
+        assert report.mode == AVOIDER_FOUND
+        assert max_exponent(report.word) < Fraction(4, 3)
+        assert report.nodes == 213
+        assert "".join(report.word.letters) == "123415243125342135241532143512345213541253142351243152341253"
+
+    def test_budget_exhaustion_reported(self):
+        report = generate_power_free(3, Fraction(2), 100, SearchBudget(1, 10))
+        assert report.mode == BUDGET_EXHAUSTED
+        assert report.nodes == 11
+        assert report.word is None
 
     def test_binary_three_halves_exhausts(self):
         report = generate_power_free(2, Fraction(3, 2), 10)
