@@ -17,18 +17,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from zimrev.decide import decide
 from zimrev.formulas import FormulaR, PatternR, Sym
-from zimrev.morphisms import SearchBudget
 
 
 def main() -> int:
     max_len = int(sys.argv[1]) if len(sys.argv) > 1 else 4
     syms = [Sym("x", False), Sym("x", True), Sym("y", False), Sym("y", True)]
-    budget = SearchBudget(16, 10**7)
     summary = Counter()
     for length in range(1, max_len + 1):
         for combo in itertools.product(syms, repeat=length):
             phi = FormulaR([PatternR(combo)])
-            verdict = decide(phi, budget)
+            verdict = decide(phi)
             cert = verdict.certificate.to_json() if verdict.certificate else {}
             kind = cert.get("kind", "-")
             if kind == "lemma":

@@ -39,7 +39,7 @@ def main() -> int:
     lines = []
     counts = {}
     for phi in binary_patterns():
-        verdict = decide(phi, budget)
+        verdict = decide(phi, budget.max_steps)
         counts[verdict.status] = counts.get(verdict.status, 0) + 1
         is_factor_equivalent = any(equivalent(phi, t, budget) for t in targets)
         if (verdict.status == "unavoidable") != is_factor_equivalent:

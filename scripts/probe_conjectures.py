@@ -18,7 +18,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from zimrev.decide import conjecture2_probe, decide
 from zimrev.formulas import FormulaR, PatternR, Sym
-from zimrev.morphisms import SearchBudget
 
 PROBES = [
     "x# y1 x#",
@@ -46,11 +45,10 @@ def sharp_formula(slot_text: str) -> FormulaR:
 
 
 def main() -> int:
-    budget = SearchBudget(16, 10**7)
     refuted = False
     for text in PROBES:
         phi = sharp_formula(text)
-        verdict = decide(phi, budget)
+        verdict = decide(phi)
         probe = conjecture2_probe(phi, verdict.status)
         consistent = not (
             verdict.status == "unavoidable" and probe.residual_status == "avoidable"

@@ -23,7 +23,7 @@ from .formulas import (
     factors_of,
     formula_vars,
 )
-from .morphisms import SearchBudget, SymbolicMorphism, divides
+from .morphisms import DEFAULT_MAX_STEPS, SearchBudget, SymbolicMorphism, divides
 
 UNAVOIDABLE = "unavoidable"
 AVOIDABLE = "avoidable"
@@ -176,13 +176,12 @@ def zimin_formula(n: int) -> FormulaR:
 
 
 def _divide_into_zimin(
-    phi: FormulaR, budget: Optional[SearchBudget], fixed: Optional[Dict[str, PatternR]] = None
+    phi: FormulaR, max_steps: int, fixed: Optional[Dict[str, PatternR]] = None
 ) -> Optional[SymbolicMorphism]:
     """Divide phi into Z_n, n its variable count, at the sound image bound
-    2^n - 1 with the caller's step limit."""
+    2^n - 1 with at most max_steps steps."""
     n = len(formula_vars(phi))
-    steps = budget.max_steps if budget else SearchBudget().max_steps
-    sound = SearchBudget(max_image_len=max(1, 2**n - 1), max_steps=steps)
+    sound = SearchBudget(max_image_len=max(1, 2**n - 1), max_steps=max_steps)
     return divides(phi, zimin_formula(n), sound, fixed=fixed)
 
 
@@ -198,19 +197,19 @@ class ClassicDecision:
 
 
 def decide_classic(
-    phi: FormulaR, budget: Optional[SearchBudget] = None, with_reduction: bool = True
+    phi: FormulaR, max_steps: int = DEFAULT_MAX_STEPS, with_reduction: bool = True
 ) -> ClassicDecision:
     """Decide a formula without reversal: unavoidable iff it divides the
     Zimin word on its variable count."""
     _require_mirror_free(phi)
-    division = _divide_into_zimin(phi, budget)
+    division = _divide_into_zimin(phi, max_steps)
     reduction = is_reducible(phi) if with_reduction else None
     status = UNAVOIDABLE if division is not None else AVOIDABLE
     return ClassicDecision(status, division, reduction)
 
 
 def divide_into_zimin_constrained(
-    phi: FormulaR, names: FrozenSet[str], budget: Optional[SearchBudget] = None
+    phi: FormulaR, names: FrozenSet[str], max_steps: int = DEFAULT_MAX_STEPS
 ) -> Optional[SymbolicMorphism]:
     """Search a division of phi into Z_n mapping every variable of the free
     set to x1.
@@ -222,4 +221,4 @@ def divide_into_zimin_constrained(
     names = frozenset(names)
     if not is_free(phi, names):
         raise ValueError(f"{sorted(names)} is not a free set of {phi}")
-    return _divide_into_zimin(phi, budget, {name: PatternR((Sym("x1"),)) for name in names})
+    return _divide_into_zimin(phi, max_steps, {name: PatternR((Sym("x1"),)) for name in names})

@@ -4,6 +4,10 @@ All subcommands print a single JSON document (keys sorted, schema_version
 "1") so identical inputs yield byte-identical output.  Exit codes: 0 for a
 decided/consistent run, 1 for corpus mismatches, 2 for usage or parse
 errors, 3 for an unknown verdict.
+
+Four flags are global: --max-steps bounds every search, --max-image-len
+bounds the images of divides and occurs (decide always searches at the sound
+bound), --jobs sets corpus parallelism and --pretty indents the output.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .classic import decide_classic
-from .decide import EVIDENCE_LENGTH, EVIDENCE_MAX_ALPHABET, UNKNOWN, WITNESS_PREFIX_LEN, decide
+from .decide import UNKNOWN, decide
 from .formulas import FormulaSyntaxError, flatten, parse
 from .morphisms import (
     DEFAULT_MAX_IMAGE_LEN,
@@ -61,14 +65,7 @@ def _parse_formula(text: str):
 
 def cmd_decide(args) -> int:
     phi = _parse_formula(args.formula)
-    verdict = decide(
-        phi,
-        _budget(args),
-        evidence=args.evidence,
-        witness_prefix_len=args.witness_len,
-        evidence_length=args.max_word_len,
-        evidence_max_alphabet=args.alphabet_size,
-    )
+    verdict = decide(phi, args.max_steps, evidence=args.evidence)
     _emit(verdict.to_json(), args.pretty)
     return EXIT_UNKNOWN if verdict.status == UNKNOWN else EXIT_OK
 
@@ -114,7 +111,7 @@ def cmd_flatten(args) -> int:
 def cmd_reduce(args) -> int:
     phi = _parse_formula(args.formula)
     try:
-        decision = decide_classic(phi, _budget(args))
+        decision = decide_classic(phi, args.max_steps)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -152,7 +149,7 @@ def cmd_powerfree(args) -> int:
     except (ValueError, ZeroDivisionError):
         print(f"error: cannot parse exponent {args.alpha!r}", file=sys.stderr)
         return EXIT_USAGE
-    report = generate_power_free(args.alphabet_size_arg, alpha, args.length, _budget(args))
+    report = generate_power_free(args.alphabet_size, alpha, args.length, args.max_steps)
     payload = report.to_json()
     payload["alpha"] = str(alpha)
     _emit(payload, args.pretty)
@@ -160,7 +157,7 @@ def cmd_powerfree(args) -> int:
 
 
 def _corpus_entry(job) -> dict:
-    line_no, line, max_image_len, max_steps, witness_len = job
+    line_no, line, max_steps = job
     try:
         entry = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -171,11 +168,7 @@ def _corpus_entry(job) -> dict:
         phi = parse(entry["formula"])
     except FormulaSyntaxError as exc:
         return {"line": line_no, "error": f"formula does not parse: {exc}"}
-    verdict = decide(
-        phi,
-        SearchBudget(max_image_len=max_image_len, max_steps=max_steps),
-        witness_prefix_len=witness_len,
-    )
+    verdict = decide(phi, max_steps)
     expected = entry.get("expected_status")
     result = {
         "line": line_no,
@@ -195,7 +188,7 @@ def cmd_corpus(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    jobs = [(no, text, args.max_image_len, args.max_steps, args.witness_len) for no, text in lines]
+    jobs = [(no, text, args.max_steps) for no, text in lines]
     if args.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_corpus_entry, jobs, chunksize=8))
@@ -231,25 +224,17 @@ def _common_flags() -> argparse.ArgumentParser:
     the subparser from clobbering values given up front."""
     suppress = argparse.SUPPRESS
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--max-image-len", type=int, default=suppress, help=f"image length budget (default {DEFAULT_MAX_IMAGE_LEN})")
+    p.add_argument("--max-image-len", type=int, default=suppress, help=f"image length budget of divides and occurs (default {DEFAULT_MAX_IMAGE_LEN})")
     p.add_argument("--max-steps", type=int, default=suppress, help="search step budget (default 1e7)")
-    p.add_argument("--witness-len", type=int, default=suppress, help=f"generated witness prefix length (default {WITNESS_PREFIX_LEN})")
-    p.add_argument("--alphabet-size", type=int, default=suppress, help=f"largest alphabet for evidence searches (default {EVIDENCE_MAX_ALPHABET})")
-    p.add_argument("--max-word-len", type=int, default=suppress, help=f"evidence avoiding-word length (default {EVIDENCE_LENGTH})")
     p.add_argument("--jobs", type=int, default=suppress, help="parallel corpus workers (default: cores)")
     p.add_argument("--pretty", action="store_true", default=suppress, help="indent JSON output")
-    p.add_argument("--json", action="store_true", default=suppress, help="compact JSON output (default)")
     return p
 
 
 FLAG_DEFAULTS = {
     "max_image_len": DEFAULT_MAX_IMAGE_LEN,
     "max_steps": DEFAULT_MAX_STEPS,
-    "witness_len": WITNESS_PREFIX_LEN,
-    "alphabet_size": EVIDENCE_MAX_ALPHABET,
-    "max_word_len": EVIDENCE_LENGTH,
     "pretty": False,
-    "json": False,
 }
 
 
@@ -293,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_zimin)
 
     p = sub.add_parser("powerfree", help="generate a power-free word", parents=[common])
-    p.add_argument("alphabet_size_arg", type=int, metavar="alphabet_size")
+    p.add_argument("alphabet_size", type=int)
     p.add_argument("alpha", help="forbidden exponent, e.g. 2 or 3/2")
     p.add_argument("length", type=int)
     p.set_defaults(func=cmd_powerfree)

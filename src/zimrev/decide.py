@@ -34,7 +34,7 @@ from .formulas import (
     normalize,
     pattern_vars,
 )
-from .morphisms import SearchBudget, SearchBudgetExceeded, SymbolicMorphism, occurs
+from .morphisms import DEFAULT_MAX_STEPS, SearchBudget, SearchBudgetExceeded, SymbolicMorphism, occurs
 from .oracle import WITNESS_IMAGE_BOUND, WITNESS_PREFIX_LEN, generate_power_free, search_avoiding_word
 from .words import (
     GLYPHS,
@@ -57,11 +57,11 @@ UNKNOWN = "unknown"
 _WITNESS_STEPS = 2_000_000
 _AVOIDER_STEPS = 150_000  # per alphabet size; a stuck tree just moves on
 EVIDENCE_LENGTH = 50
-EVIDENCE_MAX_ALPHABET = 5
 
-# Avoidability over k letters implies avoidability over k+1 (the same word
-# works), so starting at 3 only skips alphabets a ternary success would
-# subsume; binary avoider trees can be huge and are never needed.
+# The alphabets the avoider search tries, for evidence and flat witnesses
+# alike.  Avoidability over k letters implies avoidability over k+1 (the
+# same word works), so starting at 3 only skips alphabets a ternary success
+# would subsume; binary avoider trees can be huge and are never needed.
 _AVOIDER_ALPHABETS = (3, 4, 5)
 
 _PERIOD_123 = PeriodicSpec(word("123"))
@@ -162,14 +162,14 @@ def check_length_bound(p: PatternR) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Witness construction.  Generated components are built once at the default
-# verification scale and cached; flat-route avoider prefixes are searched at
-# the default image bound, which is what the bounded witness check uses.
+# Witness construction.  Generated components are built once at the witness
+# scale and cached; flat-route avoider prefixes are searched at the witness
+# image bound, which is what the bounded witness check uses.
 
 
 @lru_cache(maxsize=None)
 def _power_free_component(q: int, alpha: Fraction, prefix_len: int) -> Optional[GeneratedSpec]:
-    report = generate_power_free(q, alpha, prefix_len, SearchBudget(1, _WITNESS_STEPS))
+    report = generate_power_free(q, alpha, prefix_len, _WITNESS_STEPS)
     if report.word is None:
         return None
     return GeneratedSpec(q, alpha, report.word)
@@ -185,17 +185,16 @@ def _square_free_avoids(phi: FormulaR, square_free: GeneratedSpec, image_bound: 
 
 
 def _avoiding_word(
-    phi: FormulaR, length: int, image_bound: int, max_alphabet: int, give_up_on_budget: bool
+    phi: FormulaR, length: int, image_bound: int, give_up_on_budget: bool
 ) -> Optional[GeneratedSpec]:
-    """A word of the given length over at most max_alphabet letters that
-    admits no occurrence of phi with images up to image_bound.
+    """A word of the given length over at most 5 letters that admits no
+    occurrence of phi with images up to image_bound.
 
     The canonical ternary square-free word comes first: it avoids any phi
     whose instances force a square, which covers most desk-scale formulas.
     When its absence proof runs out of budget, give_up_on_budget decides
-    between no word and the bounded avoider search."""
-    if max_alphabet < _AVOIDER_ALPHABETS[0]:
-        return None
+    between no word and the bounded avoider search over the alphabets in
+    _AVOIDER_ALPHABETS."""
     square_free = _power_free_component(3, Fraction(2), length)
     avoided = square_free is not None and _square_free_avoids(phi, square_free, image_bound)
     if avoided:
@@ -203,8 +202,6 @@ def _avoiding_word(
     if avoided is None and give_up_on_budget:
         return None
     for k in _AVOIDER_ALPHABETS:
-        if k > max_alphabet:
-            break
         report = search_avoiding_word(phi, k, length, SearchBudget(image_bound, _AVOIDER_STEPS))
         if report.word is not None:
             return GeneratedSpec(k, None, report.word)
@@ -212,12 +209,10 @@ def _avoiding_word(
 
 
 @lru_cache(maxsize=None)
-def _flat_witness(flat: FormulaR, prefix_len: int) -> Optional[ProductSpec]:
+def _flat_witness(flat: FormulaR) -> Optional[ProductSpec]:
     # an exhausted absence proof gives no witness: the avoider search at this
     # prefix length would cost far more
-    component = _avoiding_word(
-        flat, prefix_len, WITNESS_IMAGE_BOUND, _AVOIDER_ALPHABETS[-1], give_up_on_budget=True
-    )
+    component = _avoiding_word(flat, WITNESS_PREFIX_LEN, WITNESS_IMAGE_BOUND, give_up_on_budget=True)
     return None if component is None else ProductSpec(component, _PERIOD_123)
 
 
@@ -265,7 +260,7 @@ def lemma_all_two_way(phi: FormulaR) -> Optional[LemmaCert]:
     return LemmaCert("all_two_way", PeriodicSpec(Word(alphabet(m_prime))))
 
 
-def lemma_one_way_twice(phi: FormulaR, prefix_len: int = WITNESS_PREFIX_LEN) -> Optional[LemmaCert]:
+def lemma_one_way_twice(phi: FormulaR) -> Optional[LemmaCert]:
     """Every one-way variable repeats inside some fragment; then a power-free
     word over 2^(n-1)+2 letters paired with (123)^omega avoids the formula."""
     classes = classify_vars(phi)
@@ -277,19 +272,19 @@ def lemma_one_way_twice(phi: FormulaR, prefix_len: int = WITNESS_PREFIX_LEN) -> 
     half = 2 ** (len(classes) - 1)
     if half + 2 > len(GLYPHS):
         return None
-    component = _power_free_component(half + 2, Fraction(half + 1, half), prefix_len)
+    component = _power_free_component(half + 2, Fraction(half + 1, half), WITNESS_PREFIX_LEN)
     if component is None:
         return None
     return LemmaCert("one_way_twice", ProductSpec(component, _PERIOD_123))
 
 
-def lemma_flat(phi: FormulaR, prefix_len: int = WITNESS_PREFIX_LEN) -> Optional[LemmaCert]:
+def lemma_flat(phi: FormulaR) -> Optional[LemmaCert]:
     """The flattening is classically avoidable; then w + (123)^omega avoids
     the formula, where w avoids the flattening."""
     flat = flatten(phi)
     if decide_classic(flat, with_reduction=False).unavoidable:
         return None
-    witness = _flat_witness(flat, prefix_len)
+    witness = _flat_witness(flat)
     if witness is None:
         return None
     return LemmaCert("flat", witness)
@@ -315,65 +310,59 @@ def _has_adjacent_mirror_pair(phi: FormulaR) -> bool:
     )
 
 
-def _lemma_battery(phi_n: FormulaR, prefix_len: int) -> Optional[LemmaCert]:
+def _lemma_battery(phi_n: FormulaR) -> Optional[LemmaCert]:
     """Cheapest checks first; the order affects only the certificate."""
     if len(phi_n) == 1:
         frag = phi_n.fragments[0]
         doubled = check_doubled_pattern(frag)
         if doubled or check_length_bound(frag):
-            witness = _flat_witness(flatten(phi_n), prefix_len)
+            witness = _flat_witness(flatten(phi_n))
             if witness is not None:
                 return LemmaCert("doubled" if doubled else "length_bound", witness)
     for rule in (lemma_two_way_middle, lemma_all_two_way):
         cert = rule(phi_n)
         if cert is not None:
             return cert
-    cert = lemma_one_way_twice(phi_n, prefix_len)
+    cert = lemma_one_way_twice(phi_n)
     if cert is not None:
         return cert
-    return lemma_flat(phi_n, prefix_len)
+    return lemma_flat(phi_n)
 
 
 # ---------------------------------------------------------------------------
 # The decision.
 
 
-def _search_evidence(phi: FormulaR, length: int, max_alphabet: int) -> Optional[EvidenceCert]:
+def _search_evidence(phi: FormulaR) -> Optional[EvidenceCert]:
     # an exhausted absence proof is no evidence; the avoider search gets its turn
-    found = _avoiding_word(phi, length, length, max_alphabet, give_up_on_budget=False)
-    return None if found is None else EvidenceCert(found.prefix, found.alphabet_size, length)
+    found = _avoiding_word(phi, EVIDENCE_LENGTH, EVIDENCE_LENGTH, give_up_on_budget=False)
+    return None if found is None else EvidenceCert(found.prefix, found.alphabet_size, EVIDENCE_LENGTH)
 
 
-def decide(
-    phi: FormulaR,
-    budget: Optional[SearchBudget] = None,
-    *,
-    evidence: bool = False,
-    witness_prefix_len: int = WITNESS_PREFIX_LEN,
-    evidence_length: int = EVIDENCE_LENGTH,
-    evidence_max_alphabet: int = EVIDENCE_MAX_ALPHABET,
-) -> Verdict:
+def decide(phi: FormulaR, max_steps: int = DEFAULT_MAX_STEPS, *, evidence: bool = False) -> Verdict:
     """Decide avoidability of a formula with reversal.
 
-    The formula is normalized internally.  The division search always runs at
-    the sound image bound (the Z(m, n) fragment length); the caller's budget
-    contributes the step limit.  Without a division one flow follows: the
-    lemma battery when m > 0, else the contrapositive certificate where the
-    characterization applies (m = 0 or n <= 2), else ``unknown``.  Pass
-    ``evidence=True`` to attach a finite avoiding word to every avoidable
-    verdict; undecided verdicts always try.  Evidence tries the ternary
-    square-free prefix first at any ``evidence_length``.
+    The formula is normalized internally.  The division search runs at the
+    sound image bound (the Z(m, n) fragment length) with at most
+    ``max_steps`` steps; over the template guard it does not run and the
+    verdict is ``unknown``.  Without a division one flow follows: the lemma
+    battery when m > 0, else the contrapositive certificate where the
+    characterization applies (m = 0 or n <= 2), else ``unknown``.  Lemma
+    witnesses are generated at the fixed witness scale (WITNESS_PREFIX_LEN
+    letters, checked at WITNESS_IMAGE_BOUND).  Pass ``evidence=True`` to
+    attach a finite avoiding word of EVIDENCE_LENGTH letters to every
+    avoidable verdict; undecided verdicts always try.
     """
-    budget = budget or SearchBudget()
     phi_n = normalize(phi)
     classes = classify_vars(phi_n)
     m = sum(1 for tag in classes.values() if tag == TWO_WAY)
     n = sum(1 for tag in classes.values() if tag == ONE_WAY)
-    sound = SearchBudget(
-        max_image_len=max(1, stats(m, n).fragment_length), max_steps=budget.max_steps
-    )
     try:
-        division = divides_zimin(phi_n, m, n, sound)
+        bound = stats(m, n).fragment_length
+    except ValueError as exc:  # over the template guard
+        return Verdict(phi, UNKNOWN, m, n, None, reason=f"{exc}; the division search did not run")
+    try:
+        division = divides_zimin(phi_n, m, n, SearchBudget(max(1, bound), max_steps))
     except SearchBudgetExceeded:
         return Verdict(
             phi, UNKNOWN, m, n, None,
@@ -382,7 +371,7 @@ def decide(
     if division is not None:
         return Verdict(phi, UNAVOIDABLE, m, n, ZiminDivisionCert(m, n, division))
 
-    cert: Optional[Certificate] = _lemma_battery(phi_n, witness_prefix_len) if m > 0 else None
+    cert: Optional[Certificate] = _lemma_battery(phi_n) if m > 0 else None
     if cert is None and (m == 0 or n <= 2):
         cert = ContrapositiveCert(m, n)
     if cert is None:
@@ -391,13 +380,13 @@ def decide(
             UNKNOWN,
             m,
             n,
-            _search_evidence(phi_n, evidence_length, evidence_max_alphabet),
+            _search_evidence(phi_n),
             reason="no division at the sound bound and no lemma fires; "
             "a finite avoiding word is not a proof of avoidability",
         )
     verdict = Verdict(phi, AVOIDABLE, m, n, cert)
     if evidence:
-        found = _search_evidence(phi_n, evidence_length, evidence_max_alphabet)
+        found = _search_evidence(phi_n)
         if found is not None:
             verdict.evidence = found.to_json()
     return verdict

@@ -283,22 +283,22 @@ def all_words_encounter(phi: FormulaR, k: int, length: int) -> bool:
 
 
 def generate_power_free(
-    q: int, alpha: Fraction, length: int, budget: Optional[SearchBudget] = None
+    q: int, alpha: Fraction, length: int, max_steps: int = DEFAULT_MAX_STEPS
 ) -> OracleReport:
     """Backtracking generation of a word over q letters with every factor
     exponent strictly below alpha.
 
     Each extension updates per-period repetition runs incrementally; the
-    final word re-verifies through the independent exponent scan.
+    final word re-verifies through the independent exponent scan.  At most
+    ``max_steps`` nodes are expanded.
     """
     if q < 2:
         raise ValueError("alphabet size must be >= 2")
     alpha = Fraction(alpha)
     if alpha <= 1:
         raise ValueError("alpha must be > 1")
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    budget = budget or SearchBudget()
+    if length < 1 or max_steps < 1:
+        raise ValueError("length and max_steps must be >= 1")
     params = {"alphabet_size": q, "alpha": str(alpha), "length": length}
     num, den = alpha.numerator, alpha.denominator
     over = num - den  # reject period p when run * den >= p * over
@@ -321,7 +321,7 @@ def generate_power_free(
             raise RuntimeError("incremental power check disagrees with the exponent scan")
         return True
 
-    return _dfs(alphabet(q), length, budget.max_steps, params, runs_below, accept)
+    return _dfs(alphabet(q), length, max_steps, params, runs_below, accept)
 
 
 def verify_witness_prefix(

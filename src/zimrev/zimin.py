@@ -25,6 +25,13 @@ from .morphisms import SearchBudget, SymbolicMorphism, _SymbolTarget, _run_symbo
 
 ENUMERATION_GUARD = 65536
 
+# Nothing builds Z(m, n) past this fragment length.  The division search
+# lists every factor of the template for its first variable, so its memory
+# grows about with the cube of the length: measured on decide, Z(0, 10)
+# (length 1023) took 539 MB, Z(8, 7) (1151) 1058 MB and Z(4, 8) (1279)
+# 1537 MB.
+TEMPLATE_GUARD = 1151
+
 # Slots are ("x", i) for a two-way block position or ("y", j) for a one-way
 # variable position; variables render as x1..xm / y1..yn.
 Slot = Tuple[str, int]
@@ -44,11 +51,23 @@ class ZiminStats:
     fragment_length: int
 
 
-def stats(m: int, n: int) -> ZiminStats:
-    """Closed forms: (2^m)^(2^n) fragments, each of length (m+1)*2^n - 1."""
+def _fragment_length(m: int, n: int) -> int:
+    """(m+1)*2^n - 1, refused over TEMPLATE_GUARD before anything is built."""
     if m < 0 or n < 0:
         raise ValueError("m and n must be >= 0")
-    return ZiminStats((2**m) ** (2**n), (m + 1) * 2**n - 1)
+    length = (m + 1) * 2**n - 1
+    if length > TEMPLATE_GUARD:
+        raise ValueError(
+            f"Z({m},{n}) has fragment length {length}, over the template guard {TEMPLATE_GUARD}"
+        )
+    return length
+
+
+def stats(m: int, n: int) -> ZiminStats:
+    """Closed forms: (2^m)^(2^n) fragments, each of length (m+1)*2^n - 1.
+    Raises ValueError past TEMPLATE_GUARD without computing the count."""
+    length = _fragment_length(m, n)
+    return ZiminStats((2**m) ** (2**n), length)
 
 
 def _build_slots(m: int, n: int) -> Tuple[Slot, ...]:
@@ -94,8 +113,7 @@ class ZiminTemplate:
 
 @lru_cache(maxsize=None)
 def template(m: int, n: int) -> ZiminTemplate:
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be >= 0")
+    _fragment_length(m, n)
     return ZiminTemplate(m, n, _build_slots(m, n))
 
 

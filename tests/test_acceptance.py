@@ -119,7 +119,7 @@ def test_criterion_2_binary_classification():
     mismatches = []
     unavoidable_count = 0
     for phi in patterns:
-        verdict = decide(phi, BUDGET)
+        verdict = decide(phi, BUDGET.max_steps)
         assert verdict.status in (UNAVOIDABLE, AVOIDABLE)  # n <= 2 always decides
         is_unavoidable = verdict.status == UNAVOIDABLE
         unavoidable_count += is_unavoidable
@@ -141,7 +141,7 @@ def test_criterion_3_oracle_cross_validation():
     contradictions = []
     avoidable = unavoidable = 0
     for phi in patterns:
-        verdict = decide(phi, BUDGET)
+        verdict = decide(phi, BUDGET.max_steps)
         if verdict.status == AVOIDABLE:
             avoidable += 1
             found = None
@@ -178,7 +178,7 @@ def test_criterion_4_sufficient_length_bound():
     assert sufficient_length(1, 0, 2) == 1
     z10 = enumerate_fragments(1, 0)
     for letters in itertools.product("01", repeat=1):
-        assert occurs_common_image(z10, Word(letters), SearchBudget(1, 10**6)) is not None
+        assert occurs_common_image(z10, Word(letters), SearchBudget(len(letters), 10**6)) is not None
 
     assert sufficient_length(0, 2, 2) == 5
     z02 = enumerate_fragments(0, 2)
@@ -306,7 +306,7 @@ def test_criterion_8_power_free_generation():
 def test_criterion_9_section5_example():
     phi = sharp_formula("x# y1 x# y2 x# y3 x# y1 x# y2 x#")
     assert len(phi) == 64
-    verdict = decide(phi, BUDGET)
+    verdict = decide(phi, BUDGET.max_steps)
     assert verdict.status == UNAVOIDABLE
     cert = verdict.certificate
     assert isinstance(cert, ZiminDivisionCert)

@@ -12,7 +12,6 @@ from zimrev.classic import (
 )
 from zimrev.formulas import EMPTY_FORMULA, FormulaR, parse, pattern
 from zimrev.morphisms import (
-    SearchBudget,
     SearchBudgetExceeded,
     apply_symbolic,
     pattern_is_factor_of_formula,
@@ -186,10 +185,10 @@ class TestConstrainedDivision:
         # the free variable's image is bound before the search starts; the
         # search then walks exactly this many candidates
         phi = parse(text)
-        h = divide_into_zimin_constrained(phi, frozenset({free}), SearchBudget(1, steps))
+        h = divide_into_zimin_constrained(phi, frozenset({free}), steps)
         assert (h and h.to_json()) == expected
         with pytest.raises(SearchBudgetExceeded) as info:
-            divide_into_zimin_constrained(phi, frozenset({free}), SearchBudget(1, steps - 1))
+            divide_into_zimin_constrained(phi, frozenset({free}), steps - 1)
         assert info.value.steps == steps
 
     def test_non_free_set_rejected(self):

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from zimrev.cli import main
 
 CORPUS = Path(__file__).parent / "binary_patterns.jsonl"
@@ -47,6 +49,12 @@ class TestDecideCommand:
         assert data["certificate"]["name"] == "doubled"
         assert data["evidence"]["kind"] == "evidence_only"
 
+    def test_step_budget_exceeded_is_unknown(self, capsys):
+        code, data, _ = run_json(capsys, "--max-steps", "1", "decide", "x y x~")
+        assert code == 3
+        assert data["status"] == "unknown"
+        assert "step budget" in data["reason"]
+
 
 class TestDividesCommand:
     def test_worked_example(self, capsys):
@@ -60,6 +68,12 @@ class TestDividesCommand:
         assert code == 0
         assert data["divides"] is False
         assert data["morphism"] is None
+
+    def test_step_budget_exceeded_is_indeterminate(self, capsys):
+        code, out, err = run_cli(capsys, "--max-steps", "1", "divides", "x y x", "x y z x")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("indeterminate:")
 
 
 class TestOccursCommand:
@@ -113,6 +127,12 @@ class TestZiminCommand:
         assert code == 0
         assert data["fragments"] == 4096
         assert "fragments_list" not in data
+
+    def test_template_over_the_guard_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "zimin", "2", "14")
+        assert code == 2
+        assert out == ""
+        assert "over the template guard" in err
 
 
 class TestPowerfreeCommand:
@@ -198,3 +218,11 @@ def test_usage_error_exit_2(capsys):
 
 def test_unknown_command_exit_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize(
+    "flag", [["--json"], ["--witness-len", "300"], ["--max-word-len", "50"], ["--alphabet-size", "5"]]
+)
+def test_removed_flags_rejected(capsys, flag):
+    assert main(flag + ["decide", "x"]) == 2
+    assert main(["decide", "x"] + flag) == 2

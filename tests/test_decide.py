@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from zimrev.decide import (
     AVOIDABLE,
+    EVIDENCE_LENGTH,
     UNAVOIDABLE,
+    UNKNOWN,
     WITNESS_PREFIX_LEN,
     ContrapositiveCert,
     LemmaCert,
@@ -77,6 +79,20 @@ class TestDecide:
 
     def test_empty_formula_unavoidable(self):
         assert decide(EMPTY_FORMULA).status == UNAVOIDABLE
+
+    def test_division_step_budget_exceeded_is_unknown(self):
+        v = decide(parse("x y x~"), max_steps=1)
+        assert v.status == UNKNOWN and v.certificate is None
+        assert v.reason == "division search exceeded the step budget at the sound image bound"
+
+    def test_template_over_the_guard_is_unknown_without_search(self, monkeypatch):
+        # eleven one-way variables: Z(0, 11) has length 2047
+        monkeypatch.setattr(
+            decide_mod, "divides_zimin", lambda *a: pytest.fail("division search ran")
+        )
+        v = decide(parse("a b c d e f g h i j k"))
+        assert (v.status, v.m, v.n, v.certificate) == (UNKNOWN, 0, 11, None)
+        assert v.reason.startswith("Z(0,11) has fragment length 2047, over the template guard")
 
     def test_section5_formula_divides_z13(self):
         phi = sharp_formula("x# y1 x# y2 x# y3 x# y1 x# y2 x#")
@@ -264,22 +280,23 @@ class TestWitnesses:
             decide_mod, "search_avoiding_word", lambda *a: pytest.fail("avoider search ran")
         )
         # the uncached function: a cached witness would skip the absence proof
-        assert decide_mod._flat_witness.__wrapped__(parse("x x"), WITNESS_PREFIX_LEN) is None
+        assert decide_mod._flat_witness.__wrapped__(parse("x x")) is None
 
     def test_evidence_budget_exhaustion_falls_back_to_avoider_search(self, monkeypatch):
-        decide_mod._power_free_component(3, Fraction(2), 50)  # cached before the budget shrinks
+        # cached before the budget shrinks
+        decide_mod._power_free_component(3, Fraction(2), EVIDENCE_LENGTH)
         monkeypatch.setattr(decide_mod, "_WITNESS_STEPS", 1)
-        found = decide_mod._search_evidence(parse("x x"), 50, 3)
+        found = decide_mod._search_evidence(parse("x x"))
         assert found is not None and found.alphabet_size == 3
 
-    def test_evidence_square_free_fast_path_at_any_length(self, monkeypatch):
+    def test_evidence_square_free_fast_path(self, monkeypatch):
         monkeypatch.setattr(
             decide_mod, "search_avoiding_word", lambda *a: pytest.fail("avoider search ran")
         )
-        found = decide_mod._search_evidence(parse("x x"), 40, 3)
+        found = decide_mod._search_evidence(parse("x x"))
         assert found is not None
-        assert (found.alphabet_size, found.length) == (3, 40)
-        assert found.word == generate_power_free(3, Fraction(2), 40).word
+        assert (found.alphabet_size, found.length) == (3, EVIDENCE_LENGTH)
+        assert found.word == generate_power_free(3, Fraction(2), EVIDENCE_LENGTH).word
 
     def test_evidence_on_every_avoidable_verdict(self):
         # m = 1, n = 3: the lemma battery decides, and evidence still rides along

@@ -93,7 +93,7 @@ class TestOccurs:
     def test_pruned_candidates_still_cost_one_step_each(self):
         # x y x y is absent from a square-free word; the absence proof at
         # image bound 30 walks exactly 145825 candidates, pruned ones included
-        square_free = generate_power_free(3, Fraction(2), 300, SearchBudget(1, 10**6)).word
+        square_free = generate_power_free(3, Fraction(2), 300, 10**6).word
         phi = parse("x y x y")
         assert occurs(phi, square_free, SearchBudget(30, 145825)) is None
         with pytest.raises(SearchBudgetExceeded) as info:
@@ -104,7 +104,7 @@ class TestOccurs:
         # x's candidates from several positions are counted in reverse
         # orientation, none of them viable: they are charged in bulk, and the
         # budget must still run out on the same step
-        square_free = generate_power_free(3, Fraction(2), 30, SearchBudget(1, 10**6)).word
+        square_free = generate_power_free(3, Fraction(2), 30, 10**6).word
         phi = parse("x y~ x y~")
         assert occurs(phi, square_free, SearchBudget(30, 3672)) is None
         with pytest.raises(SearchBudgetExceeded) as info:
@@ -121,7 +121,7 @@ class TestOccurs:
         # squares (same mark) or even palindromes (other mark) at each start,
         # of which a square-free word has none; every candidate still costs
         # one step
-        square_free = generate_power_free(3, Fraction(2), 30, SearchBudget(1, 10**6)).word
+        square_free = generate_power_free(3, Fraction(2), 30, 10**6).word
         phi = parse(text)
         assert occurs(phi, square_free, SearchBudget(30, steps)) is None
         with pytest.raises(SearchBudgetExceeded) as info:
@@ -132,7 +132,7 @@ class TestOccurs:
         # every pattern of 1-4 symbols over x, x~, y, y~ against a 30-letter
         # square-free word: which occur and how many candidates the searches
         # walk, rejected ones included
-        square_free = generate_power_free(3, Fraction(2), 30, SearchBudget(1, 10**6)).word
+        square_free = generate_power_free(3, Fraction(2), 30, 10**6).word
         text = WordTarget(square_free).text
         syms = [Sym("x"), Sym("x", True), Sym("y"), Sym("y", True)]
         found = steps = 0

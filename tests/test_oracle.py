@@ -172,7 +172,7 @@ class TestGeneratePowerFree:
         assert "".join(report.word.letters) == "123415243125342135241532143512345213541253142351243152341253"
 
     def test_budget_exhaustion_reported(self):
-        report = generate_power_free(3, Fraction(2), 100, SearchBudget(1, 10))
+        report = generate_power_free(3, Fraction(2), 100, 10)
         assert report.mode == BUDGET_EXHAUSTED
         assert report.nodes == 11
         assert report.word is None

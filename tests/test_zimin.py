@@ -14,6 +14,7 @@ from zimrev.morphisms import (
     apply_symbolic,
 )
 from zimrev.zimin import (
+    TEMPLATE_GUARD,
     TemplateTarget,
     divides_zimin,
     enumerate_fragments,
@@ -36,6 +37,14 @@ class TestStats:
     @given(st.integers(0, 4), st.integers(0, 3))
     def test_template_length_matches_stats(self, m, n):
         assert template(m, n).length == stats(m, n).fragment_length
+
+    def test_template_guard(self):
+        # Z(8, 7) is the longest template allowed; nothing longer is built
+        assert template(8, 7).length == stats(8, 7).fragment_length == TEMPLATE_GUARD
+        for m, n in [(0, 11), (9, 7), (1, 40)]:
+            for build in (stats, template):
+                with pytest.raises(ValueError, match="over the template guard"):
+                    build(m, n)
 
 
 class TestEnumeration:
