@@ -17,8 +17,6 @@ from .classic import (
     divide_into_zimin_constrained,
     free_sets,
     is_reducible,
-    zimin_formula,
-    zimin_word,
 )
 from .decide import (
     AVOIDABLE,

@@ -1,11 +1,12 @@
 """The reversal-free theory: adjacency graphs, free sets, deletion,
-reducibility, Zimin words, and the division-based decision.
+reducibility, and the division-based decision.
 
 The implementation follows the standard orientation of the reducibility
 characterization: a formula (without reversal) is UNAVOIDABLE iff it reduces
-to the empty formula, and iff it divides the Zimin word on its variable
-count.  The division search is the decision; reducibility is computed as an
-independent cross-check certificate.
+to the empty formula, and iff it divides the Zimin word Z_n on its variable
+count n.  Z_n is Z(0, n) over y1..yn, so the decision is the division into
+Z(0, n) (``divides_zimin``), at the sound bound and under its template guard;
+reducibility is computed as an independent cross-check certificate.
 """
 
 from __future__ import annotations
@@ -14,16 +15,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .formulas import (
-    EMPTY_FORMULA,
-    FormulaR,
-    PatternR,
-    Sym,
-    delete_vars,
-    factors_of,
-    formula_vars,
-)
-from .morphisms import DEFAULT_MAX_STEPS, SearchBudget, SymbolicMorphism, divides
+from .formulas import FormulaR, PatternR, Sym, delete_vars, factors_of, formula_vars
+from .morphisms import DEFAULT_MAX_STEPS, SymbolicMorphism
+from .morphisms import divides  # unused here; perfbench/tracing.py hooks zimrev.classic.divides
+from .zimin import divides_zimin, y_name
 
 UNAVOIDABLE = "unavoidable"
 AVOIDABLE = "avoidable"
@@ -156,35 +151,6 @@ def is_reducible(phi: FormulaR) -> Optional[ReductionChain]:
     return None if steps is None else ReductionChain(steps)
 
 
-def zimin_word(n: int) -> PatternR:
-    """Z_n over x1..xn (n >= 1); |Z_n| = 2^n - 1."""
-    if n < 1:
-        raise ValueError("zimin_word needs n >= 1; Z_0 is the empty formula, see zimin_formula")
-    syms: Tuple[Sym, ...] = (Sym("x1"),)
-    for i in range(2, n + 1):
-        syms = syms + (Sym(f"x{i}"),) + syms
-    return PatternR(syms)
-
-
-def zimin_formula(n: int) -> FormulaR:
-    """The Zimin word as a one-fragment formula; Z_0 is the empty formula."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return EMPTY_FORMULA
-    return FormulaR([zimin_word(n)])
-
-
-def _divide_into_zimin(
-    phi: FormulaR, max_steps: int, fixed: Optional[Dict[str, PatternR]] = None
-) -> Optional[SymbolicMorphism]:
-    """Divide phi into Z_n, n its variable count, at the sound image bound
-    2^n - 1 with at most max_steps steps."""
-    n = len(formula_vars(phi))
-    sound = SearchBudget(max_image_len=max(1, 2**n - 1), max_steps=max_steps)
-    return divides(phi, zimin_formula(n), sound, fixed=fixed)
-
-
 @dataclass
 class ClassicDecision:
     status: str
@@ -196,23 +162,20 @@ class ClassicDecision:
         return self.status == UNAVOIDABLE
 
 
-def decide_classic(
-    phi: FormulaR, max_steps: int = DEFAULT_MAX_STEPS, with_reduction: bool = True
-) -> ClassicDecision:
-    """Decide a formula without reversal: unavoidable iff it divides the
-    Zimin word on its variable count."""
+def decide_classic(phi: FormulaR, max_steps: int = DEFAULT_MAX_STEPS) -> ClassicDecision:
+    """Decide a formula without reversal: unavoidable iff it divides Z(0, n),
+    n its variable count.  Raises ValueError past the template guard."""
     _require_mirror_free(phi)
-    division = _divide_into_zimin(phi, max_steps)
-    reduction = is_reducible(phi) if with_reduction else None
+    division = divides_zimin(phi, 0, len(formula_vars(phi)), max_steps)
     status = UNAVOIDABLE if division is not None else AVOIDABLE
-    return ClassicDecision(status, division, reduction)
+    return ClassicDecision(status, division, is_reducible(phi))
 
 
 def divide_into_zimin_constrained(
     phi: FormulaR, names: FrozenSet[str], max_steps: int = DEFAULT_MAX_STEPS
 ) -> Optional[SymbolicMorphism]:
-    """Search a division of phi into Z_n mapping every variable of the free
-    set to x1.
+    """Search a division of phi into Z(0, n) mapping every variable of the
+    free set to y1.
 
     The intended use has the deletion of the free set unavoidable, where
     such a division is expected to exist; the search runs for any free set
@@ -221,4 +184,5 @@ def divide_into_zimin_constrained(
     names = frozenset(names)
     if not is_free(phi, names):
         raise ValueError(f"{sorted(names)} is not a free set of {phi}")
-    return _divide_into_zimin(phi, max_steps, {name: PatternR((Sym("x1"),)) for name in names})
+    y1 = PatternR((Sym(y_name(1)),))
+    return divides_zimin(phi, 0, len(formula_vars(phi)), max_steps, {name: y1 for name in names})

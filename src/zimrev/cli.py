@@ -6,8 +6,9 @@ decided/consistent run, 1 for corpus mismatches, 2 for usage or parse
 errors, 3 for an unknown verdict.
 
 Four flags are global: --max-steps bounds every search, --max-image-len
-bounds the images of divides and occurs (decide always searches at the sound
-bound), --jobs sets corpus parallelism and --pretty indents the output.
+caps the images of divides and occurs (unset, they search at the sound bound,
+as decide always does), --jobs sets corpus parallelism and --pretty indents
+the output.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .classic import decide_classic
 from .decide import UNKNOWN, decide
 from .formulas import FormulaSyntaxError, flatten, parse
 from .morphisms import (
-    DEFAULT_MAX_IMAGE_LEN,
     DEFAULT_MAX_STEPS,
     SearchBudget,
     SearchBudgetExceeded,
@@ -51,8 +51,10 @@ def _emit(payload: dict, pretty: bool) -> None:
         print(json.dumps(payload, sort_keys=True))
 
 
-def _budget(args) -> SearchBudget:
-    return SearchBudget(max_image_len=args.max_image_len, max_steps=args.max_steps)
+def _budget(args, sound: int) -> SearchBudget:
+    """The --max-image-len cap if given, else the sound bound: a search
+    that finds nothing at that bound proves absence."""
+    return SearchBudget(getattr(args, "max_image_len", max(1, sound)), args.max_steps)
 
 
 def _parse_formula(text: str):
@@ -73,7 +75,7 @@ def cmd_decide(args) -> int:
 def cmd_divides(args) -> int:
     phi = _parse_formula(args.phi)
     psi = _parse_formula(args.psi)
-    morphism = divides(phi, psi, _budget(args))
+    morphism = divides(phi, psi, _budget(args, max(map(len, psi), default=0)))
     _emit(
         {
             "phi": str(phi),
@@ -89,7 +91,7 @@ def cmd_divides(args) -> int:
 def cmd_occurs(args) -> int:
     phi = _parse_formula(args.formula)
     target = word(args.word)
-    morphism = occurs(phi, target, _budget(args))
+    morphism = occurs(phi, target, _budget(args, len(target)))
     _emit(
         {
             "formula": str(phi),
@@ -224,7 +226,7 @@ def _common_flags() -> argparse.ArgumentParser:
     the subparser from clobbering values given up front."""
     suppress = argparse.SUPPRESS
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--max-image-len", type=int, default=suppress, help=f"image length budget of divides and occurs (default {DEFAULT_MAX_IMAGE_LEN})")
+    p.add_argument("--max-image-len", type=int, default=suppress, help="image length cap of divides and occurs (default: the sound bound)")
     p.add_argument("--max-steps", type=int, default=suppress, help="search step budget (default 1e7)")
     p.add_argument("--jobs", type=int, default=suppress, help="parallel corpus workers (default: cores)")
     p.add_argument("--pretty", action="store_true", default=suppress, help="indent JSON output")
@@ -232,7 +234,6 @@ def _common_flags() -> argparse.ArgumentParser:
 
 
 FLAG_DEFAULTS = {
-    "max_image_len": DEFAULT_MAX_IMAGE_LEN,
     "max_steps": DEFAULT_MAX_STEPS,
     "pretty": False,
 }

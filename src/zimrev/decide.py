@@ -31,6 +31,7 @@ from .formulas import (
     delete_vars,
     factors_of,
     flatten,
+    formula_vars,
     normalize,
     pattern_vars,
 )
@@ -279,10 +280,14 @@ def lemma_one_way_twice(phi: FormulaR) -> Optional[LemmaCert]:
 
 
 def lemma_flat(phi: FormulaR) -> Optional[LemmaCert]:
-    """The flattening is classically avoidable; then w + (123)^omega avoids
-    the formula, where w avoids the flattening."""
+    """The flattening is classically avoidable (it does not divide Z(0, n));
+    then w + (123)^omega avoids the formula, where w avoids the flattening.
+    A flattening over the template guard gives no witness."""
     flat = flatten(phi)
-    if decide_classic(flat, with_reduction=False).unavoidable:
+    try:
+        if divides_zimin(flat, 0, len(formula_vars(flat))) is not None:
+            return None
+    except ValueError:  # over the template guard
         return None
     witness = _flat_witness(flat)
     if witness is None:
@@ -358,11 +363,11 @@ def decide(phi: FormulaR, max_steps: int = DEFAULT_MAX_STEPS, *, evidence: bool 
     m = sum(1 for tag in classes.values() if tag == TWO_WAY)
     n = sum(1 for tag in classes.values() if tag == ONE_WAY)
     try:
-        bound = stats(m, n).fragment_length
+        stats(m, n)
     except ValueError as exc:  # over the template guard
         return Verdict(phi, UNKNOWN, m, n, None, reason=f"{exc}; the division search did not run")
     try:
-        division = divides_zimin(phi_n, m, n, SearchBudget(max(1, bound), max_steps))
+        division = divides_zimin(phi_n, m, n, max_steps)
     except SearchBudgetExceeded:
         return Verdict(
             phi, UNKNOWN, m, n, None,

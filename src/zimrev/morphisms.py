@@ -734,10 +734,7 @@ def _verify_symbolic(h: SymbolicMorphism, phi: FormulaR, contains: Callable[[Pat
 
 
 def divides(
-    phi: FormulaR,
-    psi: FormulaR,
-    budget: Optional[SearchBudget] = None,
-    fixed: Optional[Dict[str, PatternR]] = None,
+    phi: FormulaR, psi: FormulaR, budget: Optional[SearchBudget] = None
 ) -> Optional[SymbolicMorphism]:
     """Find a non-erasing d-reversal-respecting morphism mapping every
     fragment of phi to a factor of psi.
@@ -745,9 +742,7 @@ def divides(
     With ``max_image_len`` at least the longest fragment of psi, None is a
     proof of non-division (longer images cannot be factors).
     """
-    return _run_symbolic(
-        phi, FormulaTarget(psi), lambda u: pattern_is_factor_of_formula(u, psi), budget, fixed
-    )
+    return _run_symbolic(phi, FormulaTarget(psi), lambda u: pattern_is_factor_of_formula(u, psi), budget)
 
 
 def equivalent(phi: FormulaR, psi: FormulaR, budget: Optional[SearchBudget] = None) -> bool:

@@ -1,7 +1,9 @@
 """Zimin formulas with reversal Z(m, n).
 
 Z(m, 0) is the block x1# ... xm# (# = both orientations of the variable) and
-Z(m, n) = Z(m, n-1) y_n Z(m, n-1).  The fragment set explodes as
+Z(m, n) = Z(m, n-1) y_n Z(m, n-1).  The classic Zimin word Z_n is Z(0, n),
+the single fragment y1 y2 y1 y3 ... over y1..yn; the reversal-free theory
+divides into it here too.  The fragment set explodes as
 (2^m)^(2^n), so the primary representation is an implicit slot template: a
 sequence of slots where an X slot matches either orientation of its variable
 and a y slot matches exactly its one-way variable.  Explicit enumeration
@@ -10,7 +12,9 @@ exists for cross-validation and tiny cases only.
 Division into Z(m, n) runs the shared division search (morphisms module) on
 the template interned once per (m, n) as text, with the two orientations of
 every X variable merged into one character; candidates that differ only in
-X marks then form one orientation class, explored once.
+X marks then form one orientation class, explored once.  The division always
+runs at the sound bound, the fragment length, and TEMPLATE_GUARD covers
+every caller: decide, the classic decision (``reduce``) and ``lemma_flat``.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .formulas import EMPTY_FORMULA, FormulaR, PatternR, Sym
-from .morphisms import SearchBudget, SymbolicMorphism, _SymbolTarget, _run_symbolic
+from .morphisms import DEFAULT_MAX_STEPS, SearchBudget, SymbolicMorphism, _SymbolTarget, _run_symbolic
 
 ENUMERATION_GUARD = 65536
 
@@ -55,6 +59,10 @@ def _fragment_length(m: int, n: int) -> int:
     """(m+1)*2^n - 1, refused over TEMPLATE_GUARD before anything is built."""
     if m < 0 or n < 0:
         raise ValueError("m and n must be >= 0")
+    if n > TEMPLATE_GUARD.bit_length():  # 2^n - 1 alone is over; 2^n may be huge
+        raise ValueError(
+            f"Z({m},{n}) has fragment length at least 2^{n} - 1, over the template guard {TEMPLATE_GUARD}"
+        )
     length = (m + 1) * 2**n - 1
     if length > TEMPLATE_GUARD:
         raise ValueError(
@@ -178,15 +186,23 @@ def _template_target(m: int, n: int) -> TemplateTarget:
 
 
 def divides_zimin(
-    phi: FormulaR, m: int, n: int, budget: Optional[SearchBudget] = None
+    phi: FormulaR,
+    m: int,
+    n: int,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    fixed: Optional[Dict[str, PatternR]] = None,
 ) -> Optional[SymbolicMorphism]:
-    """Search a division of phi into Z(m, n) against the implicit template.
+    """Search a division of phi into Z(m, n) against the implicit template,
+    with every variable in ``fixed`` bound to its given image first.
 
     phi should be normalized (one-way variables unmirrored).  Image lengths
-    are capped at the fragment length, so None at that bound is a proof of
-    non-division.
+    are capped at the fragment length, the sound bound, so None is a proof
+    of non-division; ``max_steps`` bounds the search.  Z_n is Z(0, n).
+    Raises ValueError past TEMPLATE_GUARD before building anything.
     """
-    return _run_symbolic(phi, _template_target(m, n), lambda u: is_zimin_factor(u, m, n), budget)
+    target = _template_target(m, n)
+    sound = SearchBudget(max(1, target.max_fragment_len), max_steps)
+    return _run_symbolic(phi, target, lambda u: is_zimin_factor(u, m, n), sound, fixed)
 
 
 def sufficient_length(m: int, n: int, k: int) -> int:

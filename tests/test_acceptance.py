@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from zimrev.classic import decide_classic, is_reducible, zimin_formula
+from zimrev.classic import decide_classic, is_reducible
 from zimrev.decide import UNAVOIDABLE, AVOIDABLE, ZiminDivisionCert, conjecture2_probe, decide
 from zimrev.formulas import FormulaR, PatternR, Sym, parse
 from zimrev.morphisms import (
@@ -191,9 +191,9 @@ def test_criterion_4_sufficient_length_bound():
 
 
 def test_criterion_5_classic_theory():
-    # Zimin words reduce and divide themselves
+    # the Zimin words Z(0, n) reduce and divide themselves
     for n in range(1, 5):
-        zn = zimin_formula(n)
+        zn = enumerate_fragments(0, n)
         chain = is_reducible(zn)
         assert chain is not None and len(chain.steps) == n
         assert divides(zn, zn, SearchBudget(2**n - 1, 10**7)) is not None
@@ -205,7 +205,7 @@ def test_criterion_5_classic_theory():
     # once per canonical pattern
     statuses = {}
     for phi in all_classic_patterns():
-        statuses[phi] = decide_classic(phi, with_reduction=False).status
+        statuses[phi] = decide_classic(phi).status
     assert len(statuses) == 1092
 
     mismatches = []

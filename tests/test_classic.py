@@ -7,15 +7,12 @@ from zimrev.classic import (
     divide_into_zimin_constrained,
     free_sets,
     is_reducible,
-    zimin_formula,
-    zimin_word,
 )
-from zimrev.formulas import EMPTY_FORMULA, FormulaR, parse, pattern
-from zimrev.morphisms import (
-    SearchBudgetExceeded,
-    apply_symbolic,
-    pattern_is_factor_of_formula,
-)
+from zimrev.formulas import EMPTY_FORMULA, FormulaR, parse
+from zimrev.morphisms import SearchBudgetExceeded, apply_symbolic
+from zimrev.zimin import enumerate_fragments, is_zimin_factor, stats, template
+
+Z3 = parse("y1 y2 y1 y3 y1 y2 y1")
 
 
 class TestAdjacencyGraph:
@@ -49,12 +46,11 @@ class TestFreeSets:
         assert free_sets(parse("x x")) == []
 
     def test_z3(self):
-        z3 = FormulaR([zimin_word(3)])
-        assert set(free_sets(z3)) == {
-            frozenset({"x1"}),
-            frozenset({"x2"}),
-            frozenset({"x3"}),
-            frozenset({"x2", "x3"}),
+        assert set(free_sets(Z3)) == {
+            frozenset({"y1"}),
+            frozenset({"y2"}),
+            frozenset({"y3"}),
+            frozenset({"y2", "y3"}),
         }
 
 
@@ -62,8 +58,7 @@ class TestDelete:
     def test_examples(self):
         assert delete(parse("x y x"), frozenset({"y"})) == parse("x x")
         assert delete(parse("x y x"), frozenset({"x"})) == parse("y")
-        z3 = FormulaR([zimin_word(3)])
-        assert delete(z3, frozenset({"x1"})) == parse("x2 x3 x2")
+        assert delete(Z3, frozenset({"y1"})) == parse("y2 y3 y2")
 
     def test_not_free_rejected(self):
         with pytest.raises(ValueError):
@@ -72,9 +67,9 @@ class TestDelete:
 
 class TestReducibility:
     def test_z3_chain(self):
-        chain = is_reducible(FormulaR([zimin_word(3)]))
+        chain = is_reducible(Z3)
         assert chain is not None
-        assert [sorted(s.deleted) for s in chain.steps] == [["x1"], ["x2"], ["x3"]]
+        assert [sorted(s.deleted) for s in chain.steps] == [["y1"], ["y2"], ["y3"]]
 
     def test_xx_irreducible(self):
         assert is_reducible(parse("x x")) is None
@@ -98,18 +93,20 @@ class TestReducibility:
 
 
 class TestZiminWords:
+    """The Zimin word Z_n is Z(0, n), one fragment over y1..yn."""
+
     def test_values(self):
-        assert zimin_word(2) == pattern("x1 x2 x1")
-        assert zimin_word(3) == pattern("x1 x2 x1 x3 x1 x2 x1")
-        assert zimin_formula(0) == EMPTY_FORMULA
+        assert enumerate_fragments(0, 2) == parse("y1 y2 y1")
+        assert enumerate_fragments(0, 3) == Z3
+        assert enumerate_fragments(0, 0) == EMPTY_FORMULA
 
     def test_lengths(self):
         for n in range(1, 7):
-            assert len(zimin_word(n)) == 2**n - 1
+            assert template(0, n).length == stats(0, n).fragment_length == 2**n - 1
 
-    def test_zimin_word_rejects_zero(self):
+    def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
-            zimin_word(0)
+            template(0, -1)
 
 
 class TestDecideClassic:
@@ -132,7 +129,7 @@ class TestDecideClassic:
             for frag in parse("y1 y2 y3 y1 y2")
         }
         assert all(
-            pattern_is_factor_of_formula(apply_symbolic(decision.division, frag), zimin_formula(3))
+            is_zimin_factor(apply_symbolic(decision.division, frag), 0, 3)
             for frag in parse("y1 y2 y3 y1 y2")
         )
 
@@ -157,19 +154,18 @@ class TestConstrainedDivision:
     def test_xyx_with_x_free(self):
         h = divide_into_zimin_constrained(parse("x y x"), frozenset({"x"}))
         assert h is not None
-        assert str(h.assignment["x"]) == "x1"
+        assert str(h.assignment["x"]) == "y1"
 
     def test_z3_identity(self):
-        z3 = FormulaR([zimin_word(3)])
-        h = divide_into_zimin_constrained(z3, frozenset({"x1"}))
+        h = divide_into_zimin_constrained(Z3, frozenset({"y1"}))
         assert h is not None
-        assert str(h.assignment["x1"]) == "x1"
-        img = apply_symbolic(h, zimin_word(3))
-        assert pattern_is_factor_of_formula(img, zimin_formula(3))
+        assert str(h.assignment["y1"]) == "y1"
+        img = apply_symbolic(h, Z3.fragments[0])
+        assert is_zimin_factor(img, 0, 3)
 
     def test_xyx_with_y_free_reports_outcome(self):
-        # with y pinned to x1, the image of x y x must look like u x1 u
-        # inside Z2; no such u of length <= 3 exists, so the search reports
+        # with y pinned to y1, the image of x y x must look like u y1 u
+        # inside Z(0, 2); no such u of length <= 3 exists, so the search reports
         # no division for this free set
         h = divide_into_zimin_constrained(parse("x y x"), frozenset({"y"}))
         assert h is None
@@ -177,7 +173,7 @@ class TestConstrainedDivision:
     @pytest.mark.parametrize(
         "text,free,expected,steps",
         [
-            ("d c a b d a", "b", {"a": "x1 x2", "b": "x1", "c": "x1 x2 x1 x4", "d": "x3"}, 247),
+            ("d c a b d a", "b", {"a": "y1 y2", "b": "y1", "c": "y1 y2 y1 y4", "d": "y3"}, 247),
             ("a b c d c", "d", None, 1310),
         ],
     )

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,10 @@ import pytest
 from zimrev.cli import main
 
 CORPUS = Path(__file__).parent / "binary_patterns.jsonl"
+
+# a square whose half is 17 letters, one past the library's default cap
+HALF_17 = "123456789abcdefgh"
+SYMBOLS_17 = " ".join("abcdefghijklmnopq")
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +80,14 @@ class TestDividesCommand:
         assert out == ""
         assert err.startswith("indeterminate:")
 
+    def test_sound_bound_by_default(self, capsys):
+        psi = f"{SYMBOLS_17} {SYMBOLS_17}"
+        code, data, _ = run_json(capsys, "divides", "x x", psi)
+        assert code == 0
+        assert data["morphism"] == {"x": SYMBOLS_17}
+        _, data, _ = run_json(capsys, "--max-image-len", "16", "divides", "x x", psi)
+        assert data["divides"] is False
+
 
 class TestOccursCommand:
     def test_positive(self, capsys):
@@ -85,6 +98,13 @@ class TestOccursCommand:
     def test_negative(self, capsys):
         code, data, _ = run_json(capsys, "occurs", "x x", "abc")
         assert code == 0
+        assert data["occurs"] is False
+
+    def test_sound_bound_by_default(self, capsys):
+        code, data, _ = run_json(capsys, "occurs", "x x", HALF_17 * 2)
+        assert code == 0
+        assert data["morphism"] == {"x": HALF_17}
+        _, data, _ = run_json(capsys, "occurs", "--max-image-len", "16", "x x", HALF_17 * 2)
         assert data["occurs"] is False
 
 
@@ -112,6 +132,14 @@ class TestReduceCommand:
         assert code == 2
         assert "mirror" in err
 
+    def test_template_over_the_guard_rejected(self, capsys):
+        # eleven variables: Z(0, 11) has length 2047; refused before the search
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "reduce", "a b c d e f g h i j k")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert "Z(0,11) has fragment length 2047, over the template guard" in err
+
 
 class TestZiminCommand:
     def test_stats(self, capsys):
@@ -132,6 +160,13 @@ class TestZiminCommand:
         code, out, err = run_cli(capsys, "zimin", "2", "14")
         assert code == 2
         assert out == ""
+        assert "over the template guard" in err
+
+    def test_huge_n_rejected_without_computing_the_length(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "zimin", "0", "40000000000")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
         assert "over the template guard" in err
 
 

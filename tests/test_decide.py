@@ -2,7 +2,9 @@ import hashlib
 import importlib
 import itertools
 import json
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,17 @@ from zimrev.decide import (
     lemma_one_way_twice,
     lemma_two_way_middle,
 )
-from zimrev.formulas import EMPTY_FORMULA, FormulaR, PatternR, Sym, parse, pattern, rename_vars
+from zimrev.formulas import (
+    EMPTY_FORMULA,
+    FormulaR,
+    PatternR,
+    Sym,
+    d_reverse,
+    formula_vars,
+    parse,
+    pattern,
+    rename_vars,
+)
 from zimrev.morphisms import SearchBudget
 from zimrev.oracle import WITNESS_OK, generate_power_free, verify_witness_prefix
 from zimrev.words import GeneratedSpec, PeriodicSpec, ProductSpec, word
@@ -256,6 +268,12 @@ class TestLemmas:
     def test_flat_fires_on_xxr(self):
         assert lemma_flat(parse("x x~")) is not None
 
+    def test_flat_over_the_template_guard_gives_no_witness(self):
+        # eleven variables: the flattening would divide into Z(0, 11), length 2047
+        start = time.perf_counter()
+        assert lemma_flat(parse("a b c d e f g h i j k")) is None
+        assert time.perf_counter() - start < 1
+
 
 class TestWitnesses:
     def test_lemma_witnesses_pass_bounded_check(self):
@@ -355,3 +373,61 @@ def test_decide_invariant_under_normalization_input(phi):
     from zimrev.formulas import normalize
 
     assert decide(phi).status == decide(normalize(phi)).status
+
+
+# ---------------------------------------------------------------------------
+# The symmetries avoidability respects, over the binary corpus: renaming,
+# the orientation swap of one variable, and global d-reversal.
+
+CORPUS = Path(__file__).parent / "binary_patterns.jsonl"
+
+
+def _renamings(phi):
+    names = sorted(formula_vars(phi))
+    for target in itertools.permutations("xy", len(names)):
+        yield rename_vars(phi, dict(zip(names, target)))
+
+
+def _orientation_swaps(phi):
+    for name in sorted(formula_vars(phi)):
+        yield FormulaR([PatternR(tuple(s.toggled() if s.var == name else s for s in f)) for f in phi])
+
+
+def _d_reversal(phi):
+    yield FormulaR([d_reverse(f) for f in phi])
+
+
+def _canonical(phi, maps):
+    """The least text in the orbit of phi under the maps."""
+    seen = {str(phi)}
+    stack = [phi]
+    while stack:
+        current = stack.pop()
+        for move in maps:
+            for image in move(current):
+                if str(image) not in seen:
+                    seen.add(str(image))
+                    stack.append(image)
+    return min(seen)
+
+
+def test_decide_respects_the_three_symmetries():
+    entries = [json.loads(line) for line in CORPUS.read_text().splitlines()]
+    formulas = [parse(entry["formula"]) for entry in entries]
+    texts = {str(phi) for phi in formulas}
+    symmetries = (_renamings, _orientation_swaps, _d_reversal)
+    for phi in formulas:  # the corpus is closed under the three maps
+        for move in symmetries:
+            assert {str(image) for image in move(phi)} <= texts, str(phi)
+    for maps, count in [
+        ((_renamings,), 170),
+        ((_renamings, _orientation_swaps), 50),
+        ((_renamings, _d_reversal), 95),
+        (symmetries, 35),
+    ]:
+        assert len({_canonical(phi, maps) for phi in formulas}) == count
+    statuses = {}
+    for entry, phi in zip(entries, formulas):
+        found = statuses.setdefault(_canonical(phi, symmetries), set())
+        found.update({decide(phi).status, entry["expected_status"]})
+    assert all(len(found) == 1 for found in statuses.values())

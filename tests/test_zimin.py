@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from zimrev.formulas import EMPTY_FORMULA, FormulaR, PatternR, Sym, parse, pattern
 from zimrev.morphisms import (
     FormulaTarget,
-    SearchBudget,
     SearchBudgetExceeded,
     _SymbolicSearch,
     _sorted_frags,
@@ -168,17 +167,17 @@ class TestDividesZimin:
         the sharp window needs exactly 12767 steps."""
         marks = itertools.product(("", "~"), repeat=3)
         phi = parse(" . ".join("y1 x1%s x2%s x3%s y2" % bits for bits in marks))
-        h = divides_zimin(phi, 3, 2, SearchBudget(15, 12767))
+        h = divides_zimin(phi, 3, 2, 12767)
         assert h.to_json() == {v: v for v in ("x1", "x2", "x3", "y1", "y2")}
         with pytest.raises(SearchBudgetExceeded) as info:
-            divides_zimin(phi, 3, 2, SearchBudget(15, 12766))
+            divides_zimin(phi, 3, 2, 12766)
         assert info.value.steps == 12767
 
     def test_step_budget_edge_on_an_absence_proof(self):
         phi = parse("a c c b a d c d e c d e e b")
-        assert divides_zimin(phi, 0, 5, SearchBudget(31, 1209)) is None
+        assert divides_zimin(phi, 0, 5, 1209) is None
         with pytest.raises(SearchBudgetExceeded) as info:
-            divides_zimin(phi, 0, 5, SearchBudget(31, 1208))
+            divides_zimin(phi, 0, 5, 1208)
         assert info.value.steps == 1209
 
 
