@@ -45,7 +45,7 @@ def main() -> int:
         if (verdict.status == "unavoidable") != is_factor_equivalent:
             print(f"classification mismatch at {phi}", file=sys.stderr)
             return 1
-        tags = ["binary", f"len{len(phi.fragments[0])}"]
+        tags = ["binary", f"len{len(phi[0])}"]
         if is_factor_equivalent:
             tags.append("zimin-factor")
         lines.append(

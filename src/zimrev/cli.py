@@ -51,10 +51,10 @@ def _emit(payload: dict, pretty: bool) -> None:
         print(json.dumps(payload, sort_keys=True))
 
 
-def _budget(args, sound: int) -> SearchBudget:
-    """The --max-image-len cap if given, else the sound bound: a search
-    that finds nothing at that bound proves absence."""
-    return SearchBudget(getattr(args, "max_image_len", max(1, sound)), args.max_steps)
+def _budget(args) -> SearchBudget:
+    """The --max-image-len cap if given; unset, the search runs at its sound
+    bound, where finding nothing proves absence."""
+    return SearchBudget(getattr(args, "max_image_len", None), args.max_steps)
 
 
 def _parse_formula(text: str):
@@ -75,7 +75,7 @@ def cmd_decide(args) -> int:
 def cmd_divides(args) -> int:
     phi = _parse_formula(args.phi)
     psi = _parse_formula(args.psi)
-    morphism = divides(phi, psi, _budget(args, max(map(len, psi), default=0)))
+    morphism = divides(phi, psi, _budget(args))
     _emit(
         {
             "phi": str(phi),
@@ -91,7 +91,7 @@ def cmd_divides(args) -> int:
 def cmd_occurs(args) -> int:
     phi = _parse_formula(args.formula)
     target = word(args.word)
-    morphism = occurs(phi, target, _budget(args, len(target)))
+    morphism = occurs(phi, target, _budget(args))
     _emit(
         {
             "formula": str(phi),

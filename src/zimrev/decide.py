@@ -311,14 +311,14 @@ def _has_adjacent_mirror_pair(phi: FormulaR) -> bool:
     return any(
         a.var == b.var and a.mirrored != b.mirrored
         for frag in phi
-        for a, b in zip(frag.syms, frag.syms[1:])
+        for a, b in zip(frag, frag[1:])
     )
 
 
 def _lemma_battery(phi_n: FormulaR) -> Optional[LemmaCert]:
     """Cheapest checks first; the order affects only the certificate."""
     if len(phi_n) == 1:
-        frag = phi_n.fragments[0]
+        frag = phi_n[0]
         doubled = check_doubled_pattern(frag)
         if doubled or check_length_bound(frag):
             witness = _flat_witness(flatten(phi_n))
@@ -426,8 +426,14 @@ class Conjecture2Report:
 
 
 def conjecture2_probe(phi: FormulaR, phi_status: Optional[str] = None) -> Conjecture2Report:
+    """Delete the two-way variables and decide the residual classically; a
+    residual over the template guard is reported ``unknown``, as decide
+    reports such a formula."""
     phi_n = normalize(phi)
     two_ways = {v for v, tag in classify_vars(phi_n).items() if tag == TWO_WAY}
     residual = delete_vars(phi_n, two_ways)
-    decision = decide_classic(residual)
+    try:
+        decision = decide_classic(residual)
+    except ValueError:  # over the template guard
+        return Conjecture2Report(phi, residual, UNKNOWN, None, phi_status)
     return Conjecture2Report(phi, residual, decision.status, decision.reduction, phi_status)

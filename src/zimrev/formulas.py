@@ -2,15 +2,16 @@
 
 A pattern is a nonempty sequence of symbols, each a variable with or without
 a mirror mark (written ``x~`` in the grammar).  A formula is a finite set of
-patterns, its fragments; equality and hashing use the canonical sorted,
-duplicate-free form so formulas can key memo tables.
+patterns, its fragments.  All three are tuples: a symbol is (variable,
+mark), a pattern a tuple of symbols, and a formula the sorted, duplicate-free
+tuple of its fragments, so equality, hashing and the canonical order are the
+tuples' own and a formula keys memo tables as it is.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -26,8 +27,7 @@ class FormulaSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, order=True)
-class Sym:
+class Sym(NamedTuple):
     """One symbol: a variable, possibly marked as the mirror image."""
 
     var: str
@@ -39,62 +39,39 @@ class Sym:
     def toggled(self) -> "Sym":
         return Sym(self.var, not self.mirrored)
 
-    def key(self):
-        return (self.var, self.mirrored)
 
+class PatternR(tuple):
+    """A nonempty pattern with reversal (one formula fragment): a tuple of
+    symbols, ordered as tuples."""
 
-@dataclass(frozen=True)
-class PatternR:
-    """A nonempty pattern with reversal (one formula fragment)."""
+    __slots__ = ()
 
-    syms: Tuple[Sym, ...]
-
-    def __post_init__(self):
-        if not self.syms:
+    def __new__(cls, syms: Iterable[Sym]):
+        self = super().__new__(cls, syms)
+        if not self:
             raise ValueError("patterns are nonempty; empty fragments are discarded at formula level")
-
-    def __len__(self) -> int:
-        return len(self.syms)
-
-    def __iter__(self) -> Iterator[Sym]:
-        return iter(self.syms)
-
-    def __getitem__(self, index):
-        return self.syms[index]
-
-    def key(self):
-        return tuple(s.key() for s in self.syms)
+        return self
 
     def __str__(self) -> str:
-        return " ".join(str(s) for s in self.syms)
+        return " ".join(map(str, self))
 
     def __repr__(self) -> str:
         return f"PatternR({str(self)!r})"
 
 
-@dataclass(frozen=True, init=False)
-class FormulaR:
-    """A finite set of fragments, stored sorted and duplicate-free."""
+class FormulaR(tuple):
+    """A finite set of fragments: a tuple of them, sorted and duplicate-free,
+    so equal formulas are equal tuples and the natural order is canonical."""
 
-    fragments: Tuple[PatternR, ...]
+    __slots__ = ()
 
-    def __init__(self, fragments: Iterable[PatternR] = ()):
-        unique = {f.key(): f for f in fragments}
-        object.__setattr__(self, "fragments", tuple(unique[k] for k in sorted(unique)))
-
-    def __len__(self) -> int:
-        return len(self.fragments)
-
-    def __iter__(self) -> Iterator[PatternR]:
-        return iter(self.fragments)
-
-    def __bool__(self) -> bool:
-        return bool(self.fragments)
+    def __new__(cls, fragments: Iterable[PatternR] = ()):
+        return super().__new__(cls, sorted(set(fragments)))
 
     def __str__(self) -> str:
-        if not self.fragments:
+        if not self:
             return "{}"
-        return " . ".join(str(f) for f in self.fragments)
+        return " . ".join(map(str, self))
 
     def __repr__(self) -> str:
         return f"FormulaR({str(self)!r})"
@@ -113,7 +90,7 @@ def pattern(text: str) -> PatternR:
     formula = parse(text)
     if len(formula) != 1:
         raise ValueError(f"expected a single fragment, got {len(formula)}")
-    return formula.fragments[0]
+    return formula[0]
 
 
 def formula(*fragment_texts: str) -> FormulaR:
@@ -143,7 +120,7 @@ def parse(text: str) -> FormulaR:
         nonlocal syms
         if not syms:
             raise FormulaSyntaxError("empty fragment", at)
-        fragments.append(PatternR(tuple(syms)))
+        fragments.append(PatternR(syms))
         syms = []
 
     while pos < n:
@@ -174,7 +151,7 @@ def parse(text: str) -> FormulaR:
 
 
 def pattern_vars(p: PatternR) -> Set[str]:
-    return {s.var for s in p.syms}
+    return {s.var for s in p}
 
 
 def formula_vars(phi: FormulaR) -> Set[str]:
@@ -187,7 +164,7 @@ def formula_vars(phi: FormulaR) -> Set[str]:
 def flatten(obj):
     """Clear every mirror mark (patterns map to patterns, formulas to formulas)."""
     if isinstance(obj, PatternR):
-        return PatternR(tuple(Sym(s.var, False) for s in obj.syms))
+        return PatternR(Sym(s.var, False) for s in obj)
     if isinstance(obj, FormulaR):
         return FormulaR([flatten(f) for f in obj])
     raise TypeError(f"cannot flatten {obj!r}")
@@ -195,11 +172,7 @@ def flatten(obj):
 
 def d_reverse(p: PatternR) -> PatternR:
     """Reverse the symbol sequence and toggle every mirror mark (an involution)."""
-    return PatternR(tuple(s.toggled() for s in reversed(p.syms)))
-
-
-def d_reverse_syms(syms: Tuple[Sym, ...]) -> Tuple[Sym, ...]:
-    return tuple(s.toggled() for s in reversed(syms))
+    return PatternR(s.toggled() for s in reversed(p))
 
 
 def _orientations(phi: FormulaR) -> Tuple[Set[str], Set[str]]:
@@ -236,7 +209,7 @@ def normalize(phi: FormulaR) -> FormulaR:
     new_fragments = []
     for frag in phi:
         new_fragments.append(
-            PatternR(tuple(Sym(s.var, False) if s.var in flip else s for s in frag))
+            PatternR(Sym(s.var, False) if s.var in flip else s for s in frag)
         )
     return FormulaR(new_fragments)
 
@@ -248,7 +221,7 @@ def factors_of(phi: FormulaR, length: int) -> Set[PatternR]:
     out: Set[PatternR] = set()
     for frag in phi:
         for i in range(len(frag) - length + 1):
-            out.add(PatternR(frag.syms[i : i + length]))
+            out.add(PatternR(frag[i : i + length]))
     return out
 
 
@@ -271,5 +244,5 @@ def delete_vars(phi: FormulaR, names: Iterable[str]) -> FormulaR:
 def rename_vars(phi: FormulaR, mapping: Dict[str, str]) -> FormulaR:
     """Rename variables (used by tests for invariance checks)."""
     return FormulaR(
-        [PatternR(tuple(Sym(mapping.get(s.var, s.var), s.mirrored) for s in f)) for f in phi]
+        [PatternR(Sym(mapping.get(s.var, s.var), s.mirrored) for s in f) for f in phi]
     )

@@ -5,7 +5,7 @@ into a concrete word (``occurs``), and d-reversal-respecting morphisms from a
 formula into another formula (``divides``).  They are one engine,
 ``_Search``, with two candidate listings (``_extend``).  Variables are
 ordered by first occurrence in the longest fragment, candidate images are
-enumerated by increasing length (ties broken by canonical key), and after
+enumerated by increasing length (ties broken by canonical order), and after
 each assignment every fully-instantiated fragment prefix must still be a
 factor of the target (``_refresh``).  Candidates are drawn from the viable
 occurrence positions of that prefix, which skips exactly the candidates the
@@ -15,7 +15,7 @@ documented enumeration order.  The engine also owns the step budget
 and, if the variable occurs mirrored, its mirrored image (``_bind``).
 
 Both kinds run over interned text, one character per letter or symbol,
-ordered so that comparing same-length texts compares canonical keys.  A word
+ordered so that comparing same-length texts compares the items.  A word
 (``WordTarget``) is one fragment, and a mirrored image is its reversal.  A
 division target (an explicit formula, or the Zimin slot template) codes a
 symbol as ``0x100 + 2*rank + mirrored``, rank being the variable name's
@@ -65,9 +65,10 @@ steps at its place in the order.  The first witness, the step count and the
 point where the budget runs out are those of exploring every member.
 
 Image lengths are capped at the sound bound (|w| for occurrences, the longest
-fragment of the target for divisions): a completed search at that bound is a
-proof of absence.  Exceeding the step budget raises, which keeps "ran out of
-budget" distinct from "definitely absent".
+fragment of the target for divisions) unless the budget sets a lower cap: a
+completed search at that bound is a proof of absence.  Exceeding the step
+budget raises, which keeps "ran out of budget" distinct from "definitely
+absent".
 """
 
 from __future__ import annotations
@@ -77,10 +78,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .formulas import FormulaR, PatternR, Sym, d_reverse_syms
+from .formulas import FormulaR, PatternR, Sym, d_reverse
 from .words import Letter, Word, is_factor, letter_key, word_to_json
 
-DEFAULT_MAX_IMAGE_LEN = 16
 DEFAULT_MAX_STEPS = 10_000_000
 
 
@@ -94,12 +94,20 @@ class SearchBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchBudget:
-    max_image_len: int = DEFAULT_MAX_IMAGE_LEN
+    """An image length cap and a step budget.  Without a cap a search runs
+    at its sound bound, where finding nothing is a proof of absence."""
+
+    max_image_len: Optional[int] = None
     max_steps: int = DEFAULT_MAX_STEPS
 
     def __post_init__(self):
-        if self.max_image_len < 1 or self.max_steps < 1:
+        if (self.max_image_len is not None and self.max_image_len < 1) or self.max_steps < 1:
             raise ValueError("budget fields must be >= 1")
+
+
+def _capped(cap: Optional[int], bound: int) -> int:
+    """The image length cap of a search whose sound bound is ``bound``."""
+    return bound if cap is None else min(cap, bound)
 
 
 @dataclass
@@ -147,8 +155,8 @@ def apply_symbolic(h, p: PatternR) -> PatternR:
         img = assignment.get(s.var)
         if img is None:
             raise ValueError(f"variable {s.var} is not assigned")
-        parts.extend(d_reverse_syms(img.syms) if s.mirrored else img.syms)
-    return PatternR(tuple(parts))
+        parts.extend(d_reverse(img) if s.mirrored else img)
+    return PatternR(parts)
 
 
 def compose(f: ConcreteMorphism, h: SymbolicMorphism) -> ConcreteMorphism:
@@ -158,12 +166,10 @@ def compose(f: ConcreteMorphism, h: SymbolicMorphism) -> ConcreteMorphism:
 
 def pattern_is_factor_of_formula(p: PatternR, psi: FormulaR) -> bool:
     """True iff p is a contiguous subsequence of some fragment of psi."""
-    target = p.syms
-    ln = len(target)
+    ln = len(p)
     for frag in psi:
-        syms = frag.syms
-        for i in range(len(syms) - ln + 1):
-            if syms[i : i + ln] == target:
+        for i in range(len(frag) - ln + 1):
+            if frag[i : i + ln] == p:
                 return True
     return False
 
@@ -189,8 +195,9 @@ def _variable_order(frags: Sequence[Tuple[Sym, ...]]):
     return order, frontier
 
 
-def _sorted_frags(phi: FormulaR) -> List[Tuple[Sym, ...]]:
-    return [f.syms for f in sorted(phi.fragments, key=lambda f: (-len(f), f.key()))]
+def _sorted_frags(phi: FormulaR) -> List[PatternR]:
+    """Longest fragment first; phi's own order breaks ties (a stable sort)."""
+    return sorted(phi, key=len, reverse=True)
 
 
 def _common_prefix(a: str, b: str) -> int:
@@ -251,7 +258,7 @@ class _SymbolTarget(_InternedTarget):
 
     A symbol's code is ``chr(0x100 + 2*rank + mirrored)``, where ``rank`` is
     the variable name's position in sorted order, so same-length texts
-    compare like their symbols' keys.  ``blind`` sends the marked code of
+    compare like their symbol tuples.  ``blind`` sends the marked code of
     every variable in ``merged`` to its unmarked code: the target's factor
     test ignores those marks.  ``text`` is the blind text of the fragments
     joined by a separator.  With more than one fragment, ``ends[p]`` is the
@@ -297,7 +304,7 @@ class FormulaTarget(_SymbolTarget):
     """Division target backed by an explicit fragment list; every mark counts."""
 
     def __init__(self, psi: FormulaR):
-        super().__init__([f.syms for f in psi.fragments])
+        super().__init__(psi)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +329,7 @@ class _Search:
         self.ends: Optional[List[int]] = None
         self.flip: Optional[Dict[int, str]] = None
         self.n = len(text)
-        self.cap = min(cap, self.n)
+        self.cap = _capped(cap, self.n)
         self.max_steps = max_steps
         self.fixed = fixed
         self.common_image = common_image
@@ -580,7 +587,7 @@ class _SymbolicSearch(_Search):
     """
 
     def __init__(self, frags, target: _SymbolTarget, cap, max_steps, fixed=None):
-        super().__init__(frags, target.text, min(cap, target.max_fragment_len), max_steps, fixed)
+        super().__init__(frags, target.text, _capped(cap, target.max_fragment_len), max_steps, fixed)
         self.ends = target.ends
         self.flip = target.flip
         self.mirrored = {s.var for frag in frags for s in frag if s.mirrored}
@@ -687,8 +694,9 @@ def occurs(
 ) -> Optional[ConcreteMorphism]:
     """Find a reversal-respecting morphism sending every fragment into w.
 
-    Returns None when no morphism with images up to the effective cap exists;
-    with ``max_image_len >= len(w)`` that is a proof of non-occurrence.
+    Returns None when no morphism with images up to the cap exists; without
+    a ``max_image_len`` (or with one at least ``len(w)``) that is a proof of
+    non-occurrence.
     """
     return _run_concrete(phi, w, budget, common_image=False)
 
@@ -739,8 +747,9 @@ def divides(
     """Find a non-erasing d-reversal-respecting morphism mapping every
     fragment of phi to a factor of psi.
 
-    With ``max_image_len`` at least the longest fragment of psi, None is a
-    proof of non-division (longer images cannot be factors).
+    Without a ``max_image_len`` (or with one at least the longest fragment
+    of psi), None is a proof of non-division: longer images cannot be
+    factors.
     """
     return _run_symbolic(phi, FormulaTarget(psi), lambda u: pattern_is_factor_of_formula(u, psi), budget)
 

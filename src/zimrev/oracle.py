@@ -238,21 +238,22 @@ def search_avoiding_word(
     phi, lowest letter first.
 
     Tree exhaustion (no avoider of that length at the image cap) is reported
-    distinctly from running out of step budget.  With ``max_image_len`` at
-    least `length`, a returned word is a genuine avoider and exhaustion is
-    evidence toward unavoidability on k letters at that length.
+    distinctly from running out of step budget.  Without a ``max_image_len``
+    (or with one at least `length`), a returned word is a genuine avoider and
+    exhaustion is evidence toward unavoidability on k letters at that length.
     """
     if k < 1 or length < 1:
         raise ValueError("alphabet size and length must be >= 1")
     budget = budget or SearchBudget()
-    params = {"alphabet_size": k, "length": length, "max_image_len": budget.max_image_len}
+    image_len = length if budget.max_image_len is None else budget.max_image_len
+    params = {"alphabet_size": k, "length": length, "max_image_len": image_len}
     glyphs = alphabet(k)
     frags = _sorted_frags(phi)
     if not frags:
         # the empty formula occurs vacuously in every word
         return OracleReport(TREE_EXHAUSTED, nodes=0, params=params)
     matcher = _AnchoredMatcher(frags)
-    cap = min(budget.max_image_len, length)
+    cap = min(image_len, length)
 
     def avoids(text: str, _) -> Optional[str]:
         return None if matcher.occurrence_ending_at(text, cap) else text
@@ -275,7 +276,7 @@ def all_words_encounter(phi: FormulaR, k: int, length: int) -> bool:
     if k**length > ENCOUNTER_GUARD:
         raise ValueError(f"{k}^{length} words is over the enumeration guard {ENCOUNTER_GUARD}")
     glyphs = alphabet(k)
-    budget = SearchBudget(max_image_len=max(1, length), max_steps=_COMPLETION_STEPS)
+    budget = SearchBudget(max_steps=_COMPLETION_STEPS)
     for letters in itertools.product(glyphs, repeat=length):
         if occurs(phi, Word(letters), budget) is None:
             return False

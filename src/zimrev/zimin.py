@@ -136,8 +136,7 @@ def is_zimin_factor(u: PatternR, m: int, n: int) -> bool:
     ln = len(u)
     if ln > tpl.length:
         return False
-    syms = u.syms
-    return any(tpl.window_matches(t, syms) for t in range(tpl.length - ln + 1))
+    return any(tpl.window_matches(t, u) for t in range(tpl.length - ln + 1))
 
 
 def enumerate_fragments(m: int, n: int) -> FormulaR:
@@ -161,7 +160,7 @@ def enumerate_fragments(m: int, n: int) -> FormulaR:
         for k, mirrored in zip(x_positions, bits):
             if mirrored:
                 syms[k] = syms[k].toggled()
-        fragments.append(PatternR(tuple(syms)))
+        fragments.append(PatternR(syms))
     return FormulaR(fragments)
 
 
@@ -201,8 +200,8 @@ def divides_zimin(
     Raises ValueError past TEMPLATE_GUARD before building anything.
     """
     target = _template_target(m, n)
-    sound = SearchBudget(max(1, target.max_fragment_len), max_steps)
-    return _run_symbolic(phi, target, lambda u: is_zimin_factor(u, m, n), sound, fixed)
+    budget = SearchBudget(max_steps=max_steps)  # no cap: the fragment length
+    return _run_symbolic(phi, target, lambda u: is_zimin_factor(u, m, n), budget, fixed)
 
 
 def sufficient_length(m: int, n: int, k: int) -> int:

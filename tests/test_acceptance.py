@@ -258,7 +258,7 @@ def test_criterion_6_template_predicate_equivalence():
             for combo in itertools.product(signature, repeat=ln):
                 u = PatternR(combo)
                 explicit = any(
-                    frag.syms[i : i + ln] == combo
+                    frag[i : i + ln] == combo
                     for frag in fragments
                     for i in range(len(frag) - ln + 1)
                 )

@@ -160,7 +160,7 @@ class TestConstrainedDivision:
         h = divide_into_zimin_constrained(Z3, frozenset({"y1"}))
         assert h is not None
         assert str(h.assignment["y1"]) == "y1"
-        img = apply_symbolic(h, Z3.fragments[0])
+        img = apply_symbolic(h, Z3[0])
         assert is_zimin_factor(img, 0, 3)
 
     def test_xyx_with_y_free_reports_outcome(self):

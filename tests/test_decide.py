@@ -1,8 +1,10 @@
+import functools
 import hashlib
 import importlib
 import itertools
 import json
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -350,6 +352,15 @@ class TestConjecture2Probe:
         assert report.residual == EMPTY_FORMULA
         assert report.residual_status == UNAVOIDABLE
 
+    def test_residual_over_the_template_guard_is_unknown(self):
+        # Z(0, 11) is over the guard: no division runs, as in decide
+        started = time.perf_counter()
+        report = conjecture2_probe(parse("a b c d e f g h i j k"))
+        assert time.perf_counter() - started < 1
+        assert report.residual_status == UNKNOWN
+        assert report.residual_reduction is None
+        assert decide(parse("a b c d e f g h i j k")).status == UNKNOWN
+
 
 # ---------------------------------------------------------------------------
 # Properties
@@ -376,15 +387,16 @@ def test_decide_invariant_under_normalization_input(phi):
 
 
 # ---------------------------------------------------------------------------
-# The symmetries avoidability respects, over the binary corpus: renaming,
-# the orientation swap of one variable, and global d-reversal.
+# The symmetries avoidability respects: renaming, the orientation swap of one
+# variable, and global d-reversal; over the binary corpus and over every
+# single fragment of length 4 that uses all of x, y and z.
 
 CORPUS = Path(__file__).parent / "binary_patterns.jsonl"
 
 
-def _renamings(phi):
+def _renamings(phi, letters="xy"):
     names = sorted(formula_vars(phi))
-    for target in itertools.permutations("xy", len(names)):
+    for target in itertools.permutations(letters, len(names)):
         yield rename_vars(phi, dict(zip(names, target)))
 
 
@@ -397,37 +409,64 @@ def _d_reversal(phi):
     yield FormulaR([d_reverse(f) for f in phi])
 
 
-def _canonical(phi, maps):
-    """The least text in the orbit of phi under the maps."""
-    seen = {str(phi)}
-    stack = [phi]
-    while stack:
-        current = stack.pop()
-        for move in maps:
-            for image in move(current):
-                if str(image) not in seen:
-                    seen.add(str(image))
-                    stack.append(image)
-    return min(seen)
+def _orbits(formulas, maps):
+    """The orbits of the formulas under the maps; the formulas must be closed
+    under them."""
+    members = set(formulas)
+    orbits = []
+    seen = set()
+    for phi in formulas:
+        if phi in seen:
+            continue
+        orbit = {phi}
+        stack = [phi]
+        while stack:
+            current = stack.pop()
+            for move in maps:
+                for image in move(current):
+                    assert image in members, f"{image} from {current}"
+                    if image not in orbit:
+                        orbit.add(image)
+                        stack.append(image)
+        seen |= orbit
+        orbits.append(orbit)
+    return orbits
 
 
 def test_decide_respects_the_three_symmetries():
     entries = [json.loads(line) for line in CORPUS.read_text().splitlines()]
     formulas = [parse(entry["formula"]) for entry in entries]
-    texts = {str(phi) for phi in formulas}
     symmetries = (_renamings, _orientation_swaps, _d_reversal)
-    for phi in formulas:  # the corpus is closed under the three maps
-        for move in symmetries:
-            assert {str(image) for image in move(phi)} <= texts, str(phi)
     for maps, count in [
         ((_renamings,), 170),
         ((_renamings, _orientation_swaps), 50),
         ((_renamings, _d_reversal), 95),
         (symmetries, 35),
     ]:
-        assert len({_canonical(phi, maps) for phi in formulas}) == count
-    statuses = {}
-    for entry, phi in zip(entries, formulas):
-        found = statuses.setdefault(_canonical(phi, symmetries), set())
-        found.update({decide(phi).status, entry["expected_status"]})
-    assert all(len(found) == 1 for found in statuses.values())
+        assert len(_orbits(formulas, maps)) == count
+    statuses = {phi: {decide(phi).status, entry["expected_status"]} for entry, phi in zip(entries, formulas)}
+    for orbit in _orbits(formulas, symmetries):
+        assert len(set().union(*(statuses[phi] for phi in orbit))) == 1
+
+
+def test_decide_respects_the_three_symmetries_over_three_variables():
+    syms = [Sym(var, mirrored) for var in "xyz" for mirrored in (False, True)]
+    formulas = [
+        FormulaR([PatternR(combo)])
+        for combo in itertools.product(syms, repeat=4)
+        if {s.var for s in combo} == {"x", "y", "z"}
+    ]
+    assert len(formulas) == 576
+    renamings = functools.partial(_renamings, letters="xyz")
+    symmetries = (renamings, _orientation_swaps, _d_reversal)
+    for maps, count in [
+        ((renamings,), 96),
+        ((renamings, _orientation_swaps), 12),
+        ((renamings, _d_reversal), 52),
+        (symmetries, 8),
+    ]:
+        assert len(_orbits(formulas, maps)) == count
+    statuses = {phi: decide(phi).status for phi in formulas}
+    assert Counter(statuses.values()) == {AVOIDABLE: 288, UNAVOIDABLE: 288}
+    for orbit in _orbits(formulas, symmetries):
+        assert len({statuses[phi] for phi in orbit}) == 1

@@ -27,8 +27,8 @@ formulas_st = st.lists(patterns_st, min_size=0, max_size=3).map(FormulaR)
 def test_parse_basic():
     phi = parse("x y x . y~")
     assert len(phi) == 2
-    assert pattern("y~") in phi.fragments
-    assert pattern("x y x") in phi.fragments
+    assert pattern("y~") in phi
+    assert pattern("x y x") in phi
 
 
 def test_parse_single_symbol():
@@ -41,12 +41,12 @@ def test_parse_interns_symbols():
     syms = [s for phi in (first, again) for frag in phi for s in frag]
     by_key = {}
     for s in syms:
-        assert by_key.setdefault(s.key(), s) is s
+        assert by_key.setdefault((s.var, s.mirrored), s) is s
     assert len(by_key) == 2
 
 
 def test_interned_symbols_compare_and_hash_by_value():
-    parsed = parse("x~").fragments[0].syms[0]
+    parsed = parse("x~")[0][0]
     assert Sym("x", True) == parsed
     assert hash(Sym("x", True)) == hash(parsed)
 
@@ -82,6 +82,25 @@ def test_fragments_sorted_in_format():
     assert str(parse("y . x . x~")) == "x . x~ . y"
 
 
+@given(st.lists(patterns_st, max_size=4))
+def test_natural_order_is_the_canonical_order(fragments):
+    # a fragment sorts by its (name, mark) pairs, and a formula keeps one
+    # copy of each fragment in that order
+    def key(p):
+        return tuple((s.var, s.mirrored) for s in p)
+
+    phi = FormulaR(fragments)
+    assert list(phi) == sorted({key(p): p for p in fragments}.values(), key=key)
+    assert sorted(fragments) == sorted(fragments, key=key)
+
+
+def test_formulas_are_tuples_without_instance_dicts():
+    phi = parse("x y~ . x")
+    for obj in (phi, phi[0], phi[0][0]):
+        assert isinstance(obj, tuple) and not hasattr(obj, "__dict__")
+    assert phi == (pattern("x"), pattern("x y~")) and hash(phi) == hash(tuple(phi))
+
+
 @given(formulas_st)
 def test_parse_format_roundtrip(phi):
     assert parse(str(phi)) == phi or not phi and str(phi) == "{}"
@@ -108,7 +127,7 @@ def test_d_reverse_involution(p):
 def test_flatten_commutes_with_d_reverse(p):
     # flattening the d-reversal equals reversing the flattened sequence
     lhs = flatten(d_reverse(p))
-    rhs = PatternR(tuple(reversed(flatten(p).syms)))
+    rhs = PatternR(reversed(flatten(p)))
     assert lhs == rhs
 
 

@@ -24,7 +24,7 @@ from zimrev.morphisms import (
     pattern_is_factor_of_formula,
 )
 from zimrev.oracle import generate_power_free
-from zimrev.words import Word, is_factor, reverse, word
+from zimrev.words import GLYPHS, Word, is_factor, reverse, word
 from zimrev.zimin import enumerate_fragments
 
 FULL = SearchBudget(max_image_len=64, max_steps=10**7)
@@ -84,6 +84,16 @@ class TestOccurs:
     def test_empty_formula_occurs_everywhere(self):
         h = occurs(FormulaR(), word(""))
         assert h is not None and h.assignment == {}
+
+    def test_sound_bound_by_default(self):
+        # the only repeated letters are 34 apart, so an occurrence of x y x
+        # needs |x| + |y| = 34: none has both images within 16 letters
+        u = word(GLYPHS[:33])
+        w = u + word(GLYPHS[33]) + u
+        for budget in (None, SearchBudget(max_steps=10**7)):
+            h = occurs(parse("x y x"), w, budget)
+            assert h.assignment == {"x": word("1"), "y": word(GLYPHS[1:34])}
+        assert occurs(parse("x y x"), w, SearchBudget(16)) is None
 
     def test_budget_exhaustion_raises(self):
         # no cube in the word, so the search must grind through candidates
@@ -209,6 +219,12 @@ def _is_square_free(text):
 
 
 class TestDivides:
+    def test_sound_bound_by_default(self):
+        half = " ".join("abcdefghijklmnopq")
+        psi = parse(f"{half} {half}")
+        assert divides(parse("x x"), psi).to_json() == {"x": half}
+        assert divides(parse("x x"), psi, SearchBudget(16)) is None
+
     def test_worked_example(self):
         h = divides(parse("x y x . y~"), parse("x y z x y z . z~ y~ z~"))
         assert h is not None
@@ -359,10 +375,10 @@ def _naive_divides(phi, psi):
     for frag in psi:
         for i in range(len(frag)):
             for j in range(i + 1, len(frag) + 1):
-                piece = PatternR(frag.syms[i:j])
+                piece = PatternR(frag[i:j])
                 pieces.add(piece)
                 pieces.add(d_reverse(piece))
-    candidates = sorted(pieces, key=lambda p: (len(p), p.key()))
+    candidates = sorted(pieces, key=lambda p: (len(p), p))
     variables = sorted({s.var for f in phi for s in f})
 
     def assign(idx, env):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zimrev import oracle
 from zimrev.formulas import FormulaR, PatternR, Sym, parse
 from zimrev.morphisms import SearchBudget, _sorted_frags, occurs
 from zimrev.oracle import (
@@ -58,6 +59,11 @@ class TestSearchAvoidingWord:
     def test_multi_fragment_formula(self):
         report = search_avoiding_word(parse("x x . y y~"), 3, 20, SearchBudget(20, 10**6))
         assert report.mode == AVOIDER_FOUND
+
+    def test_sound_bound_by_default(self):
+        report = search_avoiding_word(parse("x x"), 3, 20)
+        assert report.mode == AVOIDER_FOUND
+        assert report.params["max_image_len"] == 20
 
     def test_empty_formula_has_no_avoider(self):
         report = search_avoiding_word(FormulaR(), 3, 10)
@@ -124,6 +130,53 @@ def test_anchored_matcher_matches_plain_scan(frags, text):
         for cap in range(1, n + 2):
             expected = _anchored_scan(frags, text[:n], cap)
             assert matcher.occurrence_ending_at(text[:n], cap) == expected, (text[:n], cap)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x x . y",
+        "x y . y x",
+        "x y~ . y x",
+        "x x . y y~",
+        "x y x . z z",
+        "x y x . y~",
+        "x x~ . y z y",
+        "x x y . y~ x",
+        "x y z . z y x",
+        "x y . y z . z x",
+        "x y . y~ z . z x~",
+        "x x . y y . z z",
+    ],
+)
+def test_multi_fragment_avoider_is_the_least_avoiding_word(text, monkeypatch):
+    """At the default image cap, the sound bound, the first avoider is the
+    lexicographically least word avoiding the formula, and the tree is
+    exhausted exactly when no word does; the completion of the other
+    fragments runs.  The avoiding words are enumerated length by length with
+    a plain scan: a word avoids the formula iff its prefix does and no
+    occurrence ends at its last letter."""
+    completions = []
+
+    class CountedSearch(oracle._ConcreteSearch):
+        def __init__(self, *args, **kwargs):
+            completions.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_ConcreteSearch", CountedSearch)
+    phi = parse(text)
+    frags = list(phi)
+    for k in (2, 3):
+        avoiders = [""]
+        for length in range(1, 9):
+            avoiders = [w + a for w in avoiders for a in "123"[:k] if not _anchored_scan(frags, w + a, length)]
+            report = search_avoiding_word(phi, k, length)
+            if avoiders:
+                assert report.mode == AVOIDER_FOUND
+                assert "".join(report.word.letters) == min(avoiders), (k, length)
+            else:
+                assert report.mode == TREE_EXHAUSTED, (k, length)
+    assert completions
 
 
 class TestAllWordsEncounter:

@@ -104,7 +104,7 @@ class TestFactorPredicate:
             for combo in itertools.product(syms, repeat=ln):
                 u = PatternR(combo)
                 explicit = any(
-                    frag.syms[i : i + ln] == combo
+                    frag[i : i + ln] == combo
                     for frag in fragments
                     for i in range(len(frag) - ln + 1)
                 )
