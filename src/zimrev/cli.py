@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import List, Optional
 
@@ -192,6 +191,9 @@ def cmd_corpus(args) -> int:
         return EXIT_USAGE
     jobs = [(no, text, args.max_steps) for no, text in lines]
     if args.jobs > 1 and len(jobs) > 1:
+        # imported here: it loads multiprocessing, which nothing else needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_corpus_entry, jobs, chunksize=8))
     else:

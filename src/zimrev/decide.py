@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Set, Union
+from typing import Optional, Set, Union
 
 from .classic import ReductionChain, decide_classic
 from .formulas import (
@@ -27,6 +27,8 @@ from .formulas import (
     TWO_WAY,
     FormulaR,
     PatternR,
+    _orientations,
+    _unmirrored,
     classify_vars,
     delete_vars,
     factors_of,
@@ -49,7 +51,7 @@ from .words import (
     word,
     word_to_json,
 )
-from .zimin import divides_zimin, stats
+from .zimin import _fragment_length, divides_zimin
 
 UNAVOIDABLE = "unavoidable"
 AVOIDABLE = "avoidable"
@@ -151,10 +153,11 @@ class Verdict:
 
 def check_doubled_pattern(p: PatternR) -> bool:
     """Every variable of the flattening appears at least twice."""
-    counts: Dict[str, int] = {}
-    for s in p:
-        counts[s.var] = counts.get(s.var, 0) + 1
-    return all(c >= 2 for c in counts.values())
+    seen: Set[str] = set()
+    twice: Set[str] = set()
+    for var, _ in p:
+        (twice if var in seen else seen).add(var)
+    return len(twice) == len(seen)
 
 
 def check_length_bound(p: PatternR) -> bool:
@@ -358,14 +361,14 @@ def decide(phi: FormulaR, max_steps: int = DEFAULT_MAX_STEPS, *, evidence: bool 
     attach a finite avoiding word of EVIDENCE_LENGTH letters to every
     avoidable verdict; undecided verdicts always try.
     """
-    phi_n = normalize(phi)
-    classes = classify_vars(phi_n)
-    m = sum(1 for tag in classes.values() if tag == TWO_WAY)
-    n = sum(1 for tag in classes.values() if tag == ONE_WAY)
+    plain, mirrored = _orientations(phi)
+    m = len(plain & mirrored)
+    n = len(plain ^ mirrored)
     try:
-        stats(m, n)
+        _fragment_length(m, n)
     except ValueError as exc:  # over the template guard
         return Verdict(phi, UNKNOWN, m, n, None, reason=f"{exc}; the division search did not run")
+    phi_n = _unmirrored(phi, mirrored - plain)
     try:
         division = divides_zimin(phi_n, m, n, max_steps)
     except SearchBudgetExceeded:

@@ -37,7 +37,7 @@ class Sym(NamedTuple):
         return self.var + ("~" if self.mirrored else "")
 
     def toggled(self) -> "Sym":
-        return Sym(self.var, not self.mirrored)
+        return _interned(self.var, not self.mirrored)
 
 
 class PatternR(tuple):
@@ -47,7 +47,7 @@ class PatternR(tuple):
     __slots__ = ()
 
     def __new__(cls, syms: Iterable[Sym]):
-        self = super().__new__(cls, syms)
+        self = tuple.__new__(cls, syms)
         if not self:
             raise ValueError("patterns are nonempty; empty fragments are discarded at formula level")
         return self
@@ -66,7 +66,7 @@ class FormulaR(tuple):
     __slots__ = ()
 
     def __new__(cls, fragments: Iterable[PatternR] = ()):
-        return super().__new__(cls, sorted(set(fragments)))
+        return tuple.__new__(cls, sorted(set(fragments)))
 
     def __str__(self) -> str:
         if not self:
@@ -79,10 +79,30 @@ class FormulaR(tuple):
 
 EMPTY_FORMULA = FormulaR()
 
-# One Sym object per (name, mark) read by ``parse``: formulas keep their
-# symbols, and a parsed batch then holds one object per distinct symbol
-# instead of one per occurrence.
-_parsed_syms: Dict[Tuple[str, bool], Sym] = {}
+# Builds a PatternR or FormulaR without its constructor, for callers that
+# already hold its invariant (nonempty; sorted and duplicate-free).
+_new = tuple.__new__
+
+# One Sym object per (name, mark): parse, flatten, normalize and toggled
+# return these, so a batch of formulas holds one object per distinct symbol
+# instead of one per occurrence.  A Sym hashes and compares as its plain
+# (name, mark) tuple, which is the lookup key.
+_syms: Dict[Tuple[str, bool], Sym] = {}
+
+# The interned symbol of every token the scanner has read, by its text ("x",
+# "x1~").  Only the scanner adds tokens, so every key is one grammatical
+# symbol.
+_tokens: Dict[str, Sym] = {}
+
+# The interned unmarked twin of every symbol flatten or normalize has unmarked.
+_unmarked: Dict[Sym, Sym] = {}
+
+
+def _interned(var: str, mirrored: bool) -> Sym:
+    sym = _syms.get((var, mirrored))
+    if sym is None:
+        sym = _syms[(var, mirrored)] = Sym(var, mirrored)
+    return sym
 
 
 def pattern(text: str) -> PatternR:
@@ -102,9 +122,26 @@ def parse(text: str) -> FormulaR:
     """Parse formula text: fragments separated by ".", symbols by whitespace.
 
     A symbol is an identifier optionally suffixed by "~" for the mirror
-    image; "{}" denotes the empty formula.  Equal symbols come back as one
-    shared ``Sym`` object, across fragments and across calls.
+    image, and a "~" ends its symbol ("x~y" reads as "x~ y"); "{}" denotes
+    the empty formula.  Equal symbols come back as one shared ``Sym``
+    object, across fragments and across calls.
+
+    Text whose tokens the scanner has all read before is split and looked
+    up; anything else (a new token, "x~y", "{}", an empty fragment, an
+    error) goes to the scanner, the only grammar.
     """
+    lookup = _tokens.__getitem__
+    try:
+        fragments = {_new(PatternR, map(lookup, piece.split())) for piece in text.split(".")}
+    except KeyError:  # a token the scanner has not read
+        return _scan(text)
+    if () in fragments:  # an empty fragment: the scanner reports it
+        return _scan(text)
+    return _new(FormulaR, sorted(fragments))
+
+
+def _scan(text: str) -> FormulaR:
+    """The character scanner behind ``parse``; it records each token read."""
     if text.strip() == "{}":
         return EMPTY_FORMULA
     if not text.strip():
@@ -142,16 +179,14 @@ def parse(text: str) -> FormulaR:
         if pos < n and text[pos] == "~":
             mirrored = True
             pos += 1
-        sym = _parsed_syms.get((name, mirrored))
-        if sym is None:
-            sym = _parsed_syms[(name, mirrored)] = Sym(name, mirrored)
+        sym = _tokens[text[match.start() : pos]] = _interned(name, mirrored)
         syms.append(sym)
     close_fragment(fragment_start)
     return FormulaR(fragments)
 
 
 def pattern_vars(p: PatternR) -> Set[str]:
-    return {s.var for s in p}
+    return {var for var, _ in p}
 
 
 def formula_vars(phi: FormulaR) -> Set[str]:
@@ -164,10 +199,19 @@ def formula_vars(phi: FormulaR) -> Set[str]:
 def flatten(obj):
     """Clear every mirror mark (patterns map to patterns, formulas to formulas)."""
     if isinstance(obj, PatternR):
-        return PatternR(Sym(s.var, False) for s in obj)
+        return _flat(obj)
     if isinstance(obj, FormulaR):
-        return FormulaR([flatten(f) for f in obj])
+        return _new(FormulaR, sorted({_flat(f) for f in obj}))
     raise TypeError(f"cannot flatten {obj!r}")
+
+
+def _flat(p: PatternR) -> PatternR:
+    return _new(PatternR, [_unmarked.get(s) or _unmark(s) for s in p])
+
+
+def _unmark(s: Sym) -> Sym:
+    flat = _unmarked[s] = _interned(s.var, False)
+    return flat
 
 
 def d_reverse(p: PatternR) -> PatternR:
@@ -180,8 +224,8 @@ def _orientations(phi: FormulaR) -> Tuple[Set[str], Set[str]]:
     plain: Set[str] = set()
     mirrored: Set[str] = set()
     for frag in phi:
-        for s in frag:
-            (mirrored if s.mirrored else plain).add(s.var)
+        for var, mark in frag:
+            (mirrored if mark else plain).add(var)
     return plain, mirrored
 
 
@@ -203,15 +247,19 @@ def normalize(phi: FormulaR) -> FormulaR:
     variable appears unmirrored.  The result is equivalent to the input
     (they divide each other through the orientation swap)."""
     plain, mirrored = _orientations(phi)
-    flip = mirrored - plain
+    return _unmirrored(phi, mirrored - plain)
+
+
+def _unmirrored(phi: FormulaR, flip: Set[str]) -> FormulaR:
+    """phi with every symbol of a variable in flip unmirrored."""
     if not flip:
         return phi
-    new_fragments = []
-    for frag in phi:
-        new_fragments.append(
-            PatternR(Sym(s.var, False) if s.var in flip else s for s in frag)
-        )
-    return FormulaR(new_fragments)
+    return FormulaR(
+        [
+            _new(PatternR, [(_unmarked.get(s) or _unmark(s)) if s.var in flip else s for s in frag])
+            for frag in phi
+        ]
+    )
 
 
 def factors_of(phi: FormulaR, length: int) -> Set[PatternR]:

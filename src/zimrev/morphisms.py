@@ -321,9 +321,12 @@ class _Search:
     for the rest of the fragment.  The defaults describe a word: one fragment
     (no ``ends``), mirrored images by plain reversal (no ``flip``).  With
     ``common_image`` set, every complete fragment must have the same image.
+    ``ordering`` is ``_variable_order(frags)``, when the caller keeps it.
     """
 
-    def __init__(self, frags, text: str, cap: int, max_steps: int, fixed=None, common_image=False):
+    def __init__(
+        self, frags, text: str, cap: int, max_steps: int, fixed=None, common_image=False, ordering=None
+    ):
         self.frags = frags
         self.text = text
         self.ends: Optional[List[int]] = None
@@ -333,7 +336,7 @@ class _Search:
         self.max_steps = max_steps
         self.fixed = fixed
         self.common_image = common_image
-        self.order, self.frontier = _variable_order(frags)
+        self.order, self.frontier = ordering or _variable_order(frags)
         self.steps = 0
         self.images: Dict[str, Tuple[str, Optional[str]]] = {}
 
@@ -663,6 +666,8 @@ class _SymbolicSearch(_Search):
 def _run_concrete(
     phi: FormulaR, w: Word, budget: Optional[SearchBudget], common_image: bool
 ) -> Optional[ConcreteMorphism]:
+    if max(map(len, phi), default=0) > len(w):  # nowhere to start: run's 0-step None
+        return None
     budget = budget or SearchBudget()
     target = WordTarget(w)
     search = _ConcreteSearch(
@@ -715,6 +720,8 @@ def _run_symbolic(
     budget: Optional[SearchBudget],
     fixed: Optional[Dict[str, PatternR]] = None,
 ) -> Optional[SymbolicMorphism]:
+    if max(map(len, phi), default=0) > target.max_fragment_len:  # nowhere to start: run's 0-step None
+        return None
     budget = budget or SearchBudget()
     fixed = fixed or {}
     search = _SymbolicSearch(

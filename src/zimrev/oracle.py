@@ -41,6 +41,7 @@ from .morphisms import (
     SearchBudgetExceeded,
     _ConcreteSearch,
     _sorted_frags,
+    _variable_order,
     occurs,
 )
 from .words import OmegaWordSpec, Word, alphabet, materialize, max_exponent, word_to_json
@@ -157,7 +158,10 @@ class _AnchoredMatcher:
                 plan.append((s.var, s.mirrored, s.var in flips, tail, rest))
                 bound.add(s.var)
             counts = Counter(s.var for s in frag)
-            self.plans.append((tuple(plan), counts, frags[:i] + frags[i + 1 :]))
+            # the fragments to complete, with their variable order, or None
+            remaining = frags[:i] + frags[i + 1 :]
+            others = (remaining, _variable_order(remaining)) if remaining else None
+            self.plans.append((tuple(plan), counts, others))
 
     def occurrence_ending_at(self, text: str, cap: int) -> bool:
         """True iff the formula occurs in text with some fragment image
@@ -176,14 +180,16 @@ class _AnchoredMatcher:
 
     @staticmethod
     def _complete(text, assignment, others, cap) -> bool:
-        if not others:
+        if others is None:
             return True
+        frags, ordering = others
         completion = _ConcreteSearch(
-            others,
+            frags,
             text,
             cap=cap,
             max_steps=_COMPLETION_STEPS,
             fixed={var: entry[0] for var, entry in assignment.items()},
+            ordering=ordering,
         )
         try:
             return completion.run() is not None

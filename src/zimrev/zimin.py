@@ -184,6 +184,13 @@ def _template_target(m: int, n: int) -> TemplateTarget:
     return TemplateTarget(template(m, n))
 
 
+@lru_cache(maxsize=8)
+def _uncapped(max_steps: int) -> SearchBudget:
+    """A budget without a cap: the division runs at the fragment length.
+    Budgets are frozen, so one serves every division with these steps."""
+    return SearchBudget(max_steps=max_steps)
+
+
 def divides_zimin(
     phi: FormulaR,
     m: int,
@@ -200,8 +207,7 @@ def divides_zimin(
     Raises ValueError past TEMPLATE_GUARD before building anything.
     """
     target = _template_target(m, n)
-    budget = SearchBudget(max_steps=max_steps)  # no cap: the fragment length
-    return _run_symbolic(phi, target, lambda u: is_zimin_factor(u, m, n), budget, fixed)
+    return _run_symbolic(phi, target, lambda u: is_zimin_factor(u, m, n), _uncapped(max_steps), fixed)
 
 
 def sufficient_length(m: int, n: int, k: int) -> int:

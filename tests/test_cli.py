@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -245,6 +248,15 @@ class TestCorpusCommand:
         _, serial, _ = run_cli(capsys, "--jobs", "1", "corpus", str(path))
         _, parallel, _ = run_cli(capsys, "--jobs", "2", "corpus", str(path))
         assert serial == parallel
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # the pool, and multiprocessing with it, loads only for corpus --jobs > 1
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, zimrev.cli; print('concurrent.futures.process' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_usage_error_exit_2(capsys):

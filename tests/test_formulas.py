@@ -1,7 +1,10 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zimrev import formulas
 from zimrev.formulas import (
     EMPTY_FORMULA,
     FormulaR,
@@ -29,6 +32,8 @@ def test_parse_basic():
     assert len(phi) == 2
     assert pattern("y~") in phi
     assert pattern("x y x") in phi
+    # a "~" ends its symbol
+    assert parse("x~y") == parse("x~ y")
 
 
 def test_parse_single_symbol():
@@ -43,6 +48,96 @@ def test_parse_interns_symbols():
     for s in syms:
         assert by_key.setdefault((s.var, s.mirrored), s) is s
     assert len(by_key) == 2
+
+
+_REF_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+
+def _reference_parse(text):
+    """The character scanner parse was before its token table, kept as the
+    reference for the grammar."""
+    if text.strip() == "{}":
+        return EMPTY_FORMULA
+    if not text.strip():
+        raise FormulaSyntaxError("empty formula text (write {} for the empty formula)", 0)
+    fragments = []
+    syms = []
+    fragment_start = 0
+    pos = 0
+    n = len(text)
+
+    def close_fragment(at):
+        nonlocal syms
+        if not syms:
+            raise FormulaSyntaxError("empty fragment", at)
+        fragments.append(PatternR(syms))
+        syms = []
+
+    while pos < n:
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        if ch == ".":
+            close_fragment(fragment_start)
+            pos += 1
+            fragment_start = pos
+            continue
+        match = _REF_IDENT.match(text, pos)
+        if not match:
+            raise FormulaSyntaxError(f"unexpected character {ch!r}", pos)
+        name = match.group()
+        pos = match.end()
+        mirrored = False
+        if pos < n and text[pos] == "~":
+            mirrored = True
+            pos += 1
+        syms.append(Sym(name, mirrored))
+    close_fragment(fragment_start)
+    return FormulaR(fragments)
+
+
+def _outcome(parser, text):
+    try:
+        return "parsed", parser(text)
+    except FormulaSyntaxError as exc:
+        return "error", str(exc), exc.position
+
+
+_GRAMMAR_PIECES = ["x", "y1", "x_2", "Ab", "x~", "y1~", "~", ".", " ", "\t", "\n", "\u00a0", "\u2003",
+                   "\u3000", "\x1c", "\x85", "{}", "{", "}", "!", "_", "1", "9z"]
+_grammar_texts = st.one_of(
+    st.lists(st.sampled_from(_GRAMMAR_PIECES), max_size=12).map("".join),
+    st.text(alphabet="xyzA19_~.{}! \t\u00a0\u2003\u200b", max_size=12),
+)
+
+
+@given(_grammar_texts)
+def test_parse_matches_the_reference_scanner(text):
+    # the same formula, or the same error at the same position, whether the
+    # token table is empty or already holds every token of the text
+    expected = _outcome(_reference_parse, text)
+    saved = dict(formulas._tokens)
+    formulas._tokens.clear()
+    try:
+        cold = _outcome(parse, text)
+    finally:
+        formulas._tokens.update(saved)
+    warm = _outcome(parse, text)
+    assert cold == expected
+    assert warm == expected
+
+
+def test_derived_formulas_share_the_interned_symbols():
+    interned = {(s.var, s.mirrored): s for s in parse("x y z x~ y~ z~")[0]}
+    phi = parse("x y~ . z~ x")
+    derived = [flatten(phi), normalize(phi), FormulaR([d_reverse(frag) for frag in phi])]
+    derived.append(FormulaR([flatten(frag) for frag in phi]))
+    for psi in derived:
+        for frag in psi:
+            for s in frag:
+                assert s is interned[(s.var, s.mirrored)]
+    assert Sym("x").toggled() is interned[("x", True)]
 
 
 def test_interned_symbols_compare_and_hash_by_value():

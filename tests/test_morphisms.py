@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zimrev import morphisms
 from zimrev.formulas import FormulaR, PatternR, Sym, normalize, parse, pattern
 from zimrev.morphisms import (
     ConcreteMorphism,
@@ -25,9 +26,30 @@ from zimrev.morphisms import (
 )
 from zimrev.oracle import generate_power_free
 from zimrev.words import GLYPHS, Word, is_factor, reverse, word
-from zimrev.zimin import enumerate_fragments
+from zimrev.zimin import divides_zimin, enumerate_fragments
 
 FULL = SearchBudget(max_image_len=64, max_steps=10**7)
+
+
+def test_a_fragment_that_cannot_fit_builds_no_search(monkeypatch):
+    # images are nonempty, so a fragment longer than every target fragment
+    # (the word, for occurs) has nowhere to start: None at 0 steps
+    class NoSearch:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a search was built")
+
+    monkeypatch.setattr(morphisms, "_SymbolicSearch", NoSearch)
+    monkeypatch.setattr(morphisms, "_ConcreteSearch", NoSearch)
+    assert divides_zimin(parse("x y x y"), 0, 2) is None  # Z(0, 2) = y1 y2 y1
+    assert divides_zimin(parse("x x~ . y"), 1, 0, max_steps=1) is None
+    assert divides(parse("x y z . x"), parse("x y . y z")) is None
+    assert divides(parse("x"), FormulaR()) is None
+    assert occurs(parse("x y x"), word("ab")) is None
+    assert occurs_common_image(parse("x . y y y"), word("ab"), SearchBudget(1, 1)) is None
+    with pytest.raises(AssertionError):  # a fragment that fits still searches
+        divides(parse("x y . z"), parse("x y . y z"))
+    with pytest.raises(AssertionError):
+        occurs(parse("x y"), word("ab"))
 
 
 def cm(**images):

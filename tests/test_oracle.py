@@ -1,10 +1,11 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zimrev import oracle
+from zimrev import morphisms, oracle
 from zimrev.formulas import FormulaR, PatternR, Sym, parse
 from zimrev.morphisms import SearchBudget, _sorted_frags, occurs
 from zimrev.oracle import (
@@ -177,6 +178,34 @@ def test_multi_fragment_avoider_is_the_least_avoiding_word(text, monkeypatch):
             else:
                 assert report.mode == TREE_EXHAUSTED, (k, length)
     assert completions
+
+
+def test_completion_variable_order_is_computed_once_per_plan(monkeypatch):
+    calls = []
+    completions = []
+    order = morphisms._variable_order
+
+    def counted_order(frags):
+        calls.append(1)
+        return order(frags)
+
+    class CountedSearch(oracle._ConcreteSearch):
+        def __init__(self, *args, **kwargs):
+            completions.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(morphisms, "_variable_order", counted_order)
+    monkeypatch.setattr(oracle, "_variable_order", counted_order)
+    monkeypatch.setattr(oracle, "_ConcreteSearch", CountedSearch)
+    frags = _sorted_frags(parse("x y x . y y~ . z x"))
+    matcher = _AnchoredMatcher(frags)
+    assert len(calls) == len(frags)  # one per plan
+    found = 0
+    for n in range(1, 8):
+        for letters in itertools.product("ab", repeat=n):
+            found += matcher.occurrence_ending_at("".join(letters), n)
+    assert found and completions
+    assert len(calls) == len(frags)
 
 
 class TestAllWordsEncounter:
