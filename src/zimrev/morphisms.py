@@ -58,11 +58,10 @@ The division listing (``_SymbolicSearch._extend``) lists every blind text
 from every position.  Candidates with the same blind text form an
 orientation class; no test of the target tells them apart, and their
 d-reversals also differ only in X marks, so every member has the same
-subtree with the same positions, steps and outcome.  The class is explored
-once, at its first member in candidate order (the one with every X
-unmarked), and each later member is charged one step plus that subtree's
-steps at its place in the order.  The first witness, the step count and the
-point where the budget runs out are those of exploring every member.
+subtree with the same positions and outcome.  The class is explored once,
+as one candidate: its first member in candidate order (the one with every X
+unmarked), charged one step.  The first witness is that of exploring every
+member, and the step count is that of the candidates actually tried.
 
 Image lengths are capped at the sound bound (|w| for occurrences, the longest
 fragment of the target for divisions) unless the budget sets a lower cap: a
@@ -284,10 +283,6 @@ class _SymbolTarget(_InternedTarget):
         # it gives the blind text of the d-reversal
         self.flip = {
             ord(c): self.codes[s.toggled()].translate(self.blind) for s, c in self.codes.items()
-        }
-        # deletes every character except the blind codes of merged variables
-        self.unmerged = {
-            ord(c): None for s, c in self.codes.items() if s.mirrored or s.var not in merged
         }
         pieces = [self.intern(frag) for frag in frags]
         self.text = _SEPARATOR.join(pieces)
@@ -586,7 +581,7 @@ class _SymbolicSearch(_Search):
     Images are blind texts; each stands for its orientation class, the
     2**k candidates (k = merged symbols in it) that differ from it only in
     merged marks.  The class is explored once, at its first member, and
-    every later member is charged the steps that exploration took.
+    charged once: one step, like any other candidate.
     """
 
     def __init__(self, frags, target: _SymbolTarget, cap, max_steps, fixed=None):
@@ -594,7 +589,6 @@ class _SymbolicSearch(_Search):
         self.ends = target.ends
         self.flip = target.flip
         self.mirrored = {s.var for frag in frags for s in frag if s.mirrored}
-        self.unmerged = target.unmerged if target.blind else None
 
     def _extend(self, state, idx) -> bool:
         if idx == len(self.order):
@@ -619,48 +613,15 @@ class _SymbolicSearch(_Search):
         if frag[off].mirrored:
             flip = self.flip
             cands = {c[::-1].translate(flip) for c in cands}
-        unmerged = self.unmerged
-        # classes run so far whose later members are not all charged yet:
-        # [text, common prefix with the last text run, members charged,
-        #  members, steps per member]
-        owed = []
-        last = ""
+        # one step per candidate: a blind text stands for its whole class
         for cand in sorted(cands, key=_by_length):
-            if owed:
-                self._settle(owed, _common_prefix(last, cand) if len(last) == len(cand) else 0)
             self._charge(1)
-            before = self.steps
             self._bind(var, cand)
             new_state = self._refresh(state)
             if new_state is not None and self._extend(new_state, idx + 1):
                 return True
             del self.images[var]
-            members = 1 << len(cand.translate(unmerged)) if unmerged else 1
-            if members > 1:
-                owed.append([cand, len(cand), 1, members, 1 + self.steps - before])
-            last = cand
-        if owed:
-            self._settle(owed, 0)
         return False
-
-    def _settle(self, owed, shared: int):
-        """Charge the members of the owed classes that come before the next
-        text, which shares its first ``shared`` characters with the last.
-
-        A member of an earlier class A precedes the unmarked text of a
-        later class C exactly when it leaves the merged symbols of their
-        common prefix unmarked, so 2**k of A's members do, k counting the
-        merged symbols of A after that prefix.
-        """
-        unmerged = self.unmerged
-        for entry in owed:
-            cand, prefix, charged, _, cost = entry
-            if prefix > shared:
-                due = 1 << len(cand[shared:].translate(unmerged))
-                self._charge((due - charged) * cost)
-                entry[1] = shared
-                entry[2] = due
-        owed[:] = [entry for entry in owed if entry[2] < entry[3]]
 
 
 def _run_concrete(

@@ -12,9 +12,10 @@ exists for cross-validation and tiny cases only.
 Division into Z(m, n) runs the shared division search (morphisms module) on
 the template interned once per (m, n) as text, with the two orientations of
 every X variable merged into one character; candidates that differ only in
-X marks then form one orientation class, explored once.  The division always
-runs at the sound bound, the fragment length, and TEMPLATE_GUARD covers
-every caller: decide, the classic decision (``reduce``) and ``lemma_flat``.
+X marks then form one orientation class, explored and charged once.  The
+division always runs at the sound bound, the fragment length, and
+TEMPLATE_GUARD covers every caller: decide, the classic decision
+(``reduce``) and ``lemma_flat``.
 """
 
 from __future__ import annotations

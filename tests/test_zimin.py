@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zimrev.formulas import EMPTY_FORMULA, FormulaR, PatternR, Sym, parse, pattern
+from zimrev.decide import ZiminDivisionCert, decide
+from zimrev.formulas import EMPTY_FORMULA, FormulaR, PatternR, Sym, normalize, parse, pattern
 from zimrev.morphisms import (
     FormulaTarget,
     SearchBudgetExceeded,
@@ -145,13 +146,20 @@ class TestDividesZimin:
     def test_template_division_agrees_with_explicit_division(self, m, n):
         """Dual route: dividing the implicit template must give the same
         morphism as dividing the enumerated fragment formula, over a small
-        universe."""
+        universe.  The template explores each orientation class of X marks
+        once and charges it one step, so it never takes more steps than the
+        explicit target, and takes fewer in total wherever a class has
+        several members."""
         import itertools as it
 
         from zimrev.morphisms import divides
         from zimrev.formulas import FormulaR, PatternR, Sym
 
         target = enumerate_fragments(m, n)
+        template_target = TemplateTarget(template(m, n))
+        explicit_target = FormulaTarget(target)
+        cap = template(m, n).length
+        totals = [0, 0]
         syms = [Sym("x", False), Sym("x", True), Sym("y", False), Sym("y", True)]
         for length in range(1, 5):
             for combo in it.product(syms, repeat=length):
@@ -161,17 +169,30 @@ class TestDividesZimin:
                 assert (via_template and via_template.to_json()) == (
                     via_fragments and via_fragments.to_json()
                 ), str(phi)
+                frags = _sorted_frags(phi)
+                on_template = _SymbolicSearch(frags, template_target, cap, 10**7)
+                on_fragments = _SymbolicSearch(frags, explicit_target, cap, 10**7)
+                on_template.run()
+                on_fragments.run()
+                assert on_template.steps <= on_fragments.steps, str(phi)
+                totals[0] += on_template.steps
+                totals[1] += on_fragments.steps
+        if (m, n) == (1, 0):  # one X slot: every class is a single candidate
+            assert totals == [4, 4]
+        else:
+            assert totals[0] < totals[1]
 
     def test_step_budget_edge_on_a_sharp_window(self):
-        """Every orientation sibling of a failed candidate costs its steps:
-        the sharp window needs exactly 12767 steps."""
+        """A failed orientation class of X marks costs one step, like any
+        candidate, plus the steps of its one exploration: the sharp window
+        needs exactly 104 steps."""
         marks = itertools.product(("", "~"), repeat=3)
         phi = parse(" . ".join("y1 x1%s x2%s x3%s y2" % bits for bits in marks))
-        h = divides_zimin(phi, 3, 2, 12767)
+        h = divides_zimin(phi, 3, 2, 104)
         assert h.to_json() == {v: v for v in ("x1", "x2", "x3", "y1", "y2")}
         with pytest.raises(SearchBudgetExceeded) as info:
-            divides_zimin(phi, 3, 2, 12766)
-        assert info.value.steps == 12767
+            divides_zimin(phi, 3, 2, 103)
+        assert info.value.steps == 104
 
     def test_step_budget_edge_on_an_absence_proof(self):
         phi = parse("a c c b a d c d e c d e e b")
@@ -180,17 +201,35 @@ class TestDividesZimin:
             divides_zimin(phi, 0, 5, 1208)
         assert info.value.steps == 1209
 
+    def test_step_budget_edge_with_a_two_way_variable(self):
+        """Each failed orientation class of X marks costs one step plus its
+        one exploration, so this division is found in 10355 steps; charging
+        every member of a class as if it had been searched would spend 10**7
+        steps without finding it."""
+        phi = parse("e~ c . d~ c d~ a~ . b d~ c b a")
+        verdict = decide(phi)
+        assert (verdict.status, verdict.m, verdict.n) == ("unavoidable", 1, 4)
+        assert isinstance(verdict.certificate, ZiminDivisionCert)
+        phi_n = normalize(phi)
+        for frag in phi_n:
+            assert is_zimin_factor(apply_symbolic(verdict.certificate.morphism, frag), 1, 4)
+        assert divides_zimin(phi_n, 1, 4, 10355).to_json() == verdict.certificate.morphism.to_json()
+        with pytest.raises(SearchBudgetExceeded) as info:
+            divides_zimin(phi_n, 1, 4, 10354)
+        assert info.value.steps == 10355
+
 
 class TestDivisionStepPanel:
     """Every pattern of 1-4 symbols over x, x~, y, y~ against a division
     target, with the cap at its fragment length: how many divide it and how
-    many candidates the searches walk, orientation-class members included."""
+    many candidates the searches try, each orientation class of X marks
+    counted once."""
 
     @pytest.mark.parametrize(
         "target,cap,expected",
         [
-            (lambda: TemplateTarget(template(2, 1)), 5, (28, 5644)),  # merged X classes
-            (lambda: TemplateTarget(template(1, 2)), 7, (28, 20692)),
+            (lambda: TemplateTarget(template(2, 1)), 5, (28, 1868)),  # merged X classes
+            (lambda: TemplateTarget(template(1, 2)), 7, (28, 6220)),
             (lambda: TemplateTarget(template(0, 3)), 7, (20, 6580)),  # merge-free
             (lambda: FormulaTarget(parse("a b a~ c . c~ b a . b b~ a")), 5, (32, 834)),
         ],
