@@ -14,7 +14,6 @@ from .classic import (
     adjacency_graph,
     decide_classic,
     delete,
-    divide_into_zimin_constrained,
     free_sets,
     is_reducible,
 )

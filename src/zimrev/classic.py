@@ -1,12 +1,11 @@
 """The reversal-free theory: adjacency graphs, free sets, deletion,
-reducibility, and the division-based decision.
+reducibility, and the decision by reduction.
 
-The implementation follows the standard orientation of the reducibility
-characterization: a formula (without reversal) is UNAVOIDABLE iff it reduces
-to the empty formula, and iff it divides the Zimin word Z_n on its variable
-count n.  Z_n is Z(0, n) over y1..yn, so the decision is the division into
-Z(0, n) (``divides_zimin``), at the sound bound and under its template guard;
-reducibility is computed as an independent cross-check certificate.
+A formula without reversal is UNAVOIDABLE iff it reduces to the empty
+formula, and iff it divides the Zimin word Z_n = Z(0, n) on its variable
+count n (Bean, Ehrenfeucht and McNulty 1979; Zimin 1984).  The decision is
+the reduction chain: it is found by a search over free sets, which is far
+cheaper than the division search into Z(0, n) and serves as the certificate.
 """
 
 from __future__ import annotations
@@ -15,10 +14,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .formulas import FormulaR, PatternR, Sym, delete_vars, factors_of, formula_vars
-from .morphisms import DEFAULT_MAX_STEPS, SymbolicMorphism
+from .formulas import FormulaR, delete_vars, factors_of, formula_vars
 from .morphisms import divides  # unused here; perfbench/tracing.py hooks zimrev.classic.divides
-from .zimin import divides_zimin, y_name
+from .zimin import _fragment_length
 
 UNAVOIDABLE = "unavoidable"
 AVOIDABLE = "avoidable"
@@ -151,38 +149,27 @@ def is_reducible(phi: FormulaR) -> Optional[ReductionChain]:
     return None if steps is None else ReductionChain(steps)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassicDecision:
-    status: str
-    division: Optional[SymbolicMorphism]
+    """A classic verdict: the reduction chain to the empty formula, or None
+    when there is none."""
+
     reduction: Optional[ReductionChain]
 
     @property
     def unavoidable(self) -> bool:
-        return self.status == UNAVOIDABLE
+        return self.reduction is not None
+
+    @property
+    def status(self) -> str:
+        return UNAVOIDABLE if self.unavoidable else AVOIDABLE
 
 
-def decide_classic(phi: FormulaR, max_steps: int = DEFAULT_MAX_STEPS) -> ClassicDecision:
-    """Decide a formula without reversal: unavoidable iff it divides Z(0, n),
-    n its variable count.  Raises ValueError past the template guard."""
+def decide_classic(phi: FormulaR) -> ClassicDecision:
+    """Decide a formula without reversal: unavoidable iff it reduces to the
+    empty formula.  With n variables it raises ValueError when Z(0, n) is
+    over the template guard, which also bounds the free-set enumeration,
+    exponential in n."""
     _require_mirror_free(phi)
-    division = divides_zimin(phi, 0, len(formula_vars(phi)), max_steps)
-    status = UNAVOIDABLE if division is not None else AVOIDABLE
-    return ClassicDecision(status, division, is_reducible(phi))
-
-
-def divide_into_zimin_constrained(
-    phi: FormulaR, names: FrozenSet[str], max_steps: int = DEFAULT_MAX_STEPS
-) -> Optional[SymbolicMorphism]:
-    """Search a division of phi into Z(0, n) mapping every variable of the
-    free set to y1.
-
-    The intended use has the deletion of the free set unavoidable, where
-    such a division is expected to exist; the search runs for any free set
-    and simply reports its outcome (it may come up empty).
-    """
-    names = frozenset(names)
-    if not is_free(phi, names):
-        raise ValueError(f"{sorted(names)} is not a free set of {phi}")
-    y1 = PatternR((Sym(y_name(1)),))
-    return divides_zimin(phi, 0, len(formula_vars(phi)), max_steps, {name: y1 for name in names})
+    _fragment_length(0, len(formula_vars(phi)))
+    return ClassicDecision(is_reducible(phi))

@@ -112,7 +112,7 @@ def cmd_flatten(args) -> int:
 def cmd_reduce(args) -> int:
     phi = _parse_formula(args.formula)
     try:
-        decision = decide_classic(phi, args.max_steps)
+        decision = decide_classic(phi)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

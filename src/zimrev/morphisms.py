@@ -218,7 +218,6 @@ def _by_length(text: str):
 # candidate order.
 
 _SEPARATOR = "."  # joins target fragments; no code is below 0x100
-_FOREIGN = "?"  # a fixed image's symbol that the target lacks; matches nothing
 
 
 class _InternedTarget:
@@ -232,7 +231,7 @@ class _InternedTarget:
 
     def intern(self, items: Iterable) -> str:
         codes = self.codes
-        return "".join(codes.get(a, _FOREIGN) for a in items).translate(self.blind)
+        return "".join([codes[a] for a in items]).translate(self.blind)
 
     def extern(self, text: str) -> tuple:
         back = self.back
@@ -316,7 +315,9 @@ class _Search:
     for the rest of the fragment.  The defaults describe a word: one fragment
     (no ``ends``), mirrored images by plain reversal (no ``flip``).  With
     ``common_image`` set, every complete fragment must have the same image.
-    ``ordering`` is ``_variable_order(frags)``, when the caller keeps it.
+    ``ordering`` is ``_variable_order(frags)``, when the caller keeps it, and
+    ``fixed`` maps variables to the texts they are bound to before the search
+    starts (the oracle's completion search).
     """
 
     def __init__(
@@ -584,8 +585,8 @@ class _SymbolicSearch(_Search):
     charged once: one step, like any other candidate.
     """
 
-    def __init__(self, frags, target: _SymbolTarget, cap, max_steps, fixed=None):
-        super().__init__(frags, target.text, _capped(cap, target.max_fragment_len), max_steps, fixed)
+    def __init__(self, frags, target: _SymbolTarget, cap, max_steps):
+        super().__init__(frags, target.text, _capped(cap, target.max_fragment_len), max_steps)
         self.ends = target.ends
         self.flip = target.flip
         self.mirrored = {s.var for frag in frags for s in frag if s.mirrored}
@@ -678,26 +679,16 @@ def _run_symbolic(
     phi: FormulaR,
     target: _SymbolTarget,
     contains: Callable[[PatternR], bool],
-    budget: Optional[SearchBudget],
-    fixed: Optional[Dict[str, PatternR]] = None,
+    cap: Optional[int],
+    max_steps: int,
 ) -> Optional[SymbolicMorphism]:
     if max(map(len, phi), default=0) > target.max_fragment_len:  # nowhere to start: run's 0-step None
         return None
-    budget = budget or SearchBudget()
-    fixed = fixed or {}
-    search = _SymbolicSearch(
-        _sorted_frags(phi),
-        target,
-        cap=budget.max_image_len,
-        max_steps=budget.max_steps,
-        fixed={var: target.intern(img) for var, img in fixed.items()},
-    )
+    search = _SymbolicSearch(_sorted_frags(phi), target, cap, max_steps)
     raw = search.run()
     if raw is None:
         return None
-    morphism = SymbolicMorphism(
-        {var: fixed[var] if var in fixed else PatternR(target.extern(img)) for var, (img, _) in raw.items()}
-    )
+    morphism = SymbolicMorphism({var: PatternR(target.extern(img)) for var, (img, _) in raw.items()})
     _verify_symbolic(morphism, phi, contains)
     return morphism
 
@@ -719,7 +710,14 @@ def divides(
     of psi), None is a proof of non-division: longer images cannot be
     factors.
     """
-    return _run_symbolic(phi, FormulaTarget(psi), lambda u: pattern_is_factor_of_formula(u, psi), budget)
+    budget = budget or SearchBudget()
+    return _run_symbolic(
+        phi,
+        FormulaTarget(psi),
+        lambda u: pattern_is_factor_of_formula(u, psi),
+        budget.max_image_len,
+        budget.max_steps,
+    )
 
 
 def equivalent(phi: FormulaR, psi: FormulaR, budget: Optional[SearchBudget] = None) -> bool:

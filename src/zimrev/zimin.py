@@ -2,9 +2,8 @@
 
 Z(m, 0) is the block x1# ... xm# (# = both orientations of the variable) and
 Z(m, n) = Z(m, n-1) y_n Z(m, n-1).  The classic Zimin word Z_n is Z(0, n),
-the single fragment y1 y2 y1 y3 ... over y1..yn; the reversal-free theory
-divides into it here too.  The fragment set explodes as
-(2^m)^(2^n), so the primary representation is an implicit slot template: a
+the single fragment y1 y2 y1 y3 ... over y1..yn.  The fragment set explodes
+as (2^m)^(2^n), so the primary representation is an implicit slot template: a
 sequence of slots where an X slot matches either orientation of its variable
 and a y slot matches exactly its one-way variable.  Explicit enumeration
 exists for cross-validation and tiny cases only.
@@ -14,8 +13,9 @@ the template interned once per (m, n) as text, with the two orientations of
 every X variable merged into one character; candidates that differ only in
 X marks then form one orientation class, explored and charged once.  The
 division always runs at the sound bound, the fragment length, and
-TEMPLATE_GUARD covers every caller: decide, the classic decision
-(``reduce``) and ``lemma_flat``.
+TEMPLATE_GUARD covers every caller: decide and ``lemma_flat``.  The classic
+decision (``reduce``) decides by reduction, not division, but refuses the
+same n, which bounds its free-set enumeration.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .formulas import EMPTY_FORMULA, FormulaR, PatternR, Sym
-from .morphisms import DEFAULT_MAX_STEPS, SearchBudget, SymbolicMorphism, _SymbolTarget, _run_symbolic
+from .morphisms import DEFAULT_MAX_STEPS, SymbolicMorphism, _SymbolTarget, _run_symbolic
 
 ENUMERATION_GUARD = 65536
 
@@ -185,22 +185,10 @@ def _template_target(m: int, n: int) -> TemplateTarget:
     return TemplateTarget(template(m, n))
 
 
-@lru_cache(maxsize=8)
-def _uncapped(max_steps: int) -> SearchBudget:
-    """A budget without a cap: the division runs at the fragment length.
-    Budgets are frozen, so one serves every division with these steps."""
-    return SearchBudget(max_steps=max_steps)
-
-
 def divides_zimin(
-    phi: FormulaR,
-    m: int,
-    n: int,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    fixed: Optional[Dict[str, PatternR]] = None,
+    phi: FormulaR, m: int, n: int, max_steps: int = DEFAULT_MAX_STEPS
 ) -> Optional[SymbolicMorphism]:
-    """Search a division of phi into Z(m, n) against the implicit template,
-    with every variable in ``fixed`` bound to its given image first.
+    """Search a division of phi into Z(m, n) against the implicit template.
 
     phi should be normalized (one-way variables unmirrored).  Image lengths
     are capped at the fragment length, the sound bound, so None is a proof
@@ -208,7 +196,7 @@ def divides_zimin(
     Raises ValueError past TEMPLATE_GUARD before building anything.
     """
     target = _template_target(m, n)
-    return _run_symbolic(phi, target, lambda u: is_zimin_factor(u, m, n), _uncapped(max_steps), fixed)
+    return _run_symbolic(phi, target, lambda u: is_zimin_factor(u, m, n), None, max_steps)
 
 
 def sufficient_length(m: int, n: int, k: int) -> int:

@@ -13,7 +13,7 @@ import pytest
 
 from zimrev.classic import decide_classic, is_reducible
 from zimrev.decide import UNAVOIDABLE, AVOIDABLE, ZiminDivisionCert, conjecture2_probe, decide
-from zimrev.formulas import FormulaR, PatternR, Sym, parse
+from zimrev.formulas import FormulaR, PatternR, Sym, formula_vars, parse
 from zimrev.morphisms import (
     SearchBudget,
     apply_symbolic,
@@ -38,7 +38,7 @@ from zimrev.words import (
     max_exponent,
     word,
 )
-from zimrev.zimin import enumerate_fragments, is_zimin_factor, stats, sufficient_length
+from zimrev.zimin import divides_zimin, enumerate_fragments, is_zimin_factor, stats, sufficient_length
 
 BUDGET = SearchBudget(16, 10**7)
 
@@ -201,23 +201,24 @@ def test_criterion_5_classic_theory():
     assert not decide_classic(parse("x x")).unavoidable
 
     # decide_classic on every reversal-free pattern of length <= 6 over
-    # <= 3 variables; verdicts are renaming-invariant, so the oracle runs
-    # once per canonical pattern
+    # <= 3 variables, each checked against the division into Z(0, n);
+    # verdicts are renaming-invariant, so the oracle runs once per canonical
+    # pattern
     statuses = {}
+    mismatches = []
     for phi in all_classic_patterns():
         statuses[phi] = decide_classic(phi).status
+        divided = divides_zimin(phi, 0, len(formula_vars(phi))) is not None
+        if divided != (statuses[phi] == UNAVOIDABLE):
+            mismatches.append(("division disagrees", str(phi)))
     assert len(statuses) == 1092
 
-    mismatches = []
     sq3 = generate_power_free(3, Fraction(2), 60).word
     pf4 = generate_power_free(4, Fraction(3, 2), 60).word
     checked_avoidable = checked_unavoidable = 0
     full = SearchBudget(60, 10**6)
     for phi in canonical_classic_patterns():
         status = statuses[phi]
-        reducible = is_reducible(phi) is not None
-        if reducible != (status == UNAVOIDABLE):
-            mismatches.append(("reducibility disagrees", str(phi)))
         if status == AVOIDABLE:
             checked_avoidable += 1
             # a verified avoiding word of length 60 over <= 4 letters

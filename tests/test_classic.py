@@ -4,13 +4,12 @@ from zimrev.classic import (
     adjacency_graph,
     decide_classic,
     delete,
-    divide_into_zimin_constrained,
     free_sets,
     is_reducible,
 )
-from zimrev.formulas import EMPTY_FORMULA, FormulaR, parse
-from zimrev.morphisms import SearchBudgetExceeded, apply_symbolic
-from zimrev.zimin import enumerate_fragments, is_zimin_factor, stats, template
+from zimrev.formulas import EMPTY_FORMULA, FormulaR, formula_vars, parse
+from zimrev.morphisms import apply_symbolic
+from zimrev.zimin import divides_zimin, enumerate_fragments, is_zimin_factor, stats, template
 
 Z3 = parse("y1 y2 y1 y3 y1 y2 y1")
 
@@ -113,7 +112,6 @@ class TestDecideClassic:
     def test_xyx_unavoidable(self):
         decision = decide_classic(parse("x y x"))
         assert decision.unavoidable
-        assert decision.division is not None
         assert decision.reduction is not None
 
     def test_xx_avoidable(self):
@@ -122,71 +120,31 @@ class TestDecideClassic:
         assert decision.reduction is None
 
     def test_five_letter_example(self):
-        decision = decide_classic(parse("y1 y2 y3 y1 y2"))
-        assert decision.unavoidable
-        img = {
-            str(apply_symbolic(decision.division, frag))
-            for frag in parse("y1 y2 y3 y1 y2")
-        }
-        assert all(
-            is_zimin_factor(apply_symbolic(decision.division, frag), 0, 3)
-            for frag in parse("y1 y2 y3 y1 y2")
-        )
+        phi = parse("y1 y2 y3 y1 y2")
+        assert decide_classic(phi).unavoidable
+        division = divides_zimin(phi, 0, 3)
+        assert all(is_zimin_factor(apply_symbolic(division, frag), 0, 3) for frag in phi)
 
     def test_empty_formula_unavoidable(self):
         assert decide_classic(EMPTY_FORMULA).unavoidable
 
     def test_reducible_iff_unavoidable_small_universe(self):
-        """Cross-check the two classic characterizations on every pattern of
-        length <= 4 over two variables."""
+        """Cross-check the two classic characterizations, reduction and
+        division into Z(0, n), on every pattern of length <= 4 over two
+        variables and every two-fragment formula whose fragments have length
+        <= 3 over three."""
         import itertools
 
         from zimrev.formulas import PatternR, Sym
 
-        for length in range(1, 5):
-            for combo in itertools.product(["x", "y"], repeat=length):
-                phi = FormulaR([PatternR(tuple(Sym(v) for v in combo))])
-                decision = decide_classic(phi)
-                assert decision.unavoidable == (is_reducible(phi) is not None), str(phi)
+        def patterns(names, top):
+            for length in range(1, top + 1):
+                for combo in itertools.product(names, repeat=length):
+                    yield PatternR(tuple(Sym(v) for v in combo))
 
+        formulas = [FormulaR([p]) for p in patterns("xy", 4)]
+        formulas += [FormulaR(pair) for pair in itertools.combinations(patterns("xyz", 3), 2)]
+        for phi in formulas:
+            divided = divides_zimin(phi, 0, len(formula_vars(phi))) is not None
+            assert divided == (is_reducible(phi) is not None), str(phi)
 
-class TestConstrainedDivision:
-    def test_xyx_with_x_free(self):
-        h = divide_into_zimin_constrained(parse("x y x"), frozenset({"x"}))
-        assert h is not None
-        assert str(h.assignment["x"]) == "y1"
-
-    def test_z3_identity(self):
-        h = divide_into_zimin_constrained(Z3, frozenset({"y1"}))
-        assert h is not None
-        assert str(h.assignment["y1"]) == "y1"
-        img = apply_symbolic(h, Z3[0])
-        assert is_zimin_factor(img, 0, 3)
-
-    def test_xyx_with_y_free_reports_outcome(self):
-        # with y pinned to y1, the image of x y x must look like u y1 u
-        # inside Z(0, 2); no such u of length <= 3 exists, so the search reports
-        # no division for this free set
-        h = divide_into_zimin_constrained(parse("x y x"), frozenset({"y"}))
-        assert h is None
-
-    @pytest.mark.parametrize(
-        "text,free,expected,steps",
-        [
-            ("d c a b d a", "b", {"a": "y1 y2", "b": "y1", "c": "y1 y2 y1 y4", "d": "y3"}, 247),
-            ("a b c d c", "d", None, 1310),
-        ],
-    )
-    def test_fixed_image_budget_edge(self, text, free, expected, steps):
-        # the free variable's image is bound before the search starts; the
-        # search then walks exactly this many candidates
-        phi = parse(text)
-        h = divide_into_zimin_constrained(phi, frozenset({free}), steps)
-        assert (h and h.to_json()) == expected
-        with pytest.raises(SearchBudgetExceeded) as info:
-            divide_into_zimin_constrained(phi, frozenset({free}), steps - 1)
-        assert info.value.steps == steps
-
-    def test_non_free_set_rejected(self):
-        with pytest.raises(ValueError):
-            divide_into_zimin_constrained(parse("x x"), frozenset({"x"}))

@@ -143,6 +143,16 @@ class TestReduceCommand:
         assert (code, out) == (2, "")
         assert "Z(0,11) has fragment length 2047, over the template guard" in err
 
+    def test_decided_by_the_chain_without_a_division_search(self, capsys):
+        # the division into Z(0, 6) runs past 10^7 steps; the chain takes ms,
+        # so reduce must not search the division
+        start = time.perf_counter()
+        code, data, _ = run_json(capsys, "reduce", "v1 v0 v5 v6 v3 v6 . v4 v0 v4 v5")
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert data["status"] == "unavoidable"
+        assert data["reducible"] is True
+
 
 class TestZiminCommand:
     def test_stats(self, capsys):
