@@ -33,7 +33,6 @@ from .formulas import (
     delete_vars,
     factors_of,
     flatten,
-    formula_vars,
     normalize,
     pattern_vars,
 )
@@ -283,12 +282,13 @@ def lemma_one_way_twice(phi: FormulaR) -> Optional[LemmaCert]:
 
 
 def lemma_flat(phi: FormulaR) -> Optional[LemmaCert]:
-    """The flattening is classically avoidable (it does not divide Z(0, n));
+    """The flattening is classically avoidable (it has no reduction chain);
     then w + (123)^omega avoids the formula, where w avoids the flattening.
-    A flattening over the template guard gives no witness."""
+    A flattening over the template guard, which bounds the free-set
+    enumeration, gives no witness."""
     flat = flatten(phi)
     try:
-        if divides_zimin(flat, 0, len(formula_vars(flat))) is not None:
+        if decide_classic(flat).unavoidable:
             return None
     except ValueError:  # over the template guard
         return None

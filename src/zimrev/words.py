@@ -61,9 +61,6 @@ class Word:
         """True when every letter is a single-character glyph."""
         return all(isinstance(a, str) and len(a) == 1 for a in self.letters)
 
-    def key(self):
-        return tuple(letter_key(a) for a in self.letters)
-
     def __str__(self) -> str:
         if self.is_simple():
             return "".join(self.letters)  # type: ignore[arg-type]

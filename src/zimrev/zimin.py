@@ -13,9 +13,9 @@ the template interned once per (m, n) as text, with the two orientations of
 every X variable merged into one character; candidates that differ only in
 X marks then form one orientation class, explored and charged once.  The
 division always runs at the sound bound, the fragment length, and
-TEMPLATE_GUARD covers every caller: decide and ``lemma_flat``.  The classic
-decision (``reduce``) decides by reduction, not division, but refuses the
-same n, which bounds its free-set enumeration.
+TEMPLATE_GUARD covers its one caller, decide.  The classic decision
+(``reduce`` and ``lemma_flat``) decides by reduction, not division, but
+refuses the same n, which bounds its free-set enumeration.
 """
 
 from __future__ import annotations

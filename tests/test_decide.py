@@ -37,6 +37,7 @@ from zimrev.formulas import (
     Sym,
     d_reverse,
     formula_vars,
+    normalize,
     parse,
     pattern,
     rename_vars,
@@ -275,6 +276,15 @@ class TestLemmas:
         start = time.perf_counter()
         assert lemma_flat(parse("a b c d e f g h i j k")) is None
         assert time.perf_counter() - start < 1
+
+    def test_flat_decides_the_flattening_without_a_division_search(self, monkeypatch):
+        # the reduction chain decides the flattening; its division into
+        # Z(0, 10) ran 16 s
+        monkeypatch.setattr(
+            decide_mod, "divides_zimin", lambda *a: pytest.fail("division search ran")
+        )
+        cert = lemma_flat(normalize(parse("v0 v0 v4 v5~ v9 v1 v8~ . v7 v3 v2 . v7~ v8 v6 v1~")))
+        assert cert is not None and cert.name == "flat"
 
 
 class TestWitnesses:

@@ -358,7 +358,7 @@ def test_witnesses_reverify(phi, w):
 def _naive_occurs(phi, w):
     """Brute force over all substring assignments, reversed ones included."""
     substrings = {w[i:j] for i in range(len(w)) for j in range(i + 1, len(w) + 1)}
-    candidates = sorted(substrings | {reverse(u) for u in substrings}, key=lambda u: (len(u), u.key()))
+    candidates = sorted(substrings | {reverse(u) for u in substrings}, key=lambda u: (len(u), str(u)))
     variables = sorted({s.var for f in phi for s in f})
 
     def assign(idx, env):
