@@ -6,7 +6,11 @@ one backtracking driver (``_dfs``), which owns the choice stack, the node
 count, the step budget and the report; each search supplies only its prune
 and its acceptance check.  The avoider search prunes each extension with an
 end-anchored occurrence check (only images touching the new suffix are
-re-parsed) and runs a full occurrence check on candidate acceptance.  In
+re-parsed).  That prune is exact: an occurrence in a word whose one-shorter
+prefix avoids the formula has some fragment image ending at the last letter.
+Its one inexact step is completing the other fragments, a bounded concrete
+search that counts as "no occurrence" when it runs out of budget; only after
+that has happened does an accepted word get a full occurrence check.  In
 that anchored check a variable that occurs once in the whole formula is a
 gap: once the symbols left of it in its fragment are bound, one ``str.find``
 of their joined images over the window its length allows replaces the loop
@@ -20,8 +24,9 @@ re-verifies the final word with the exponent scan, which shares no code with
 the pruning.
 
 The rest is not independent of the search path: the avoider search
-completes the other fragments with the concrete occurrence search and
-accepts words through ``occurs``, and ``all_words_encounter`` and
+completes the other fragments with the concrete occurrence search (and,
+after a completion ran out of budget, re-checks words through ``occurs``),
+and ``all_words_encounter`` and
 ``verify_witness_prefix`` run ``occurs`` too.  A checker that shares no code
 with the search is ROADMAP item 4.
 """
@@ -138,9 +143,14 @@ class _AnchoredMatcher:
     ``[end - cap, end - 1]`` at or after position 0.  The gap variable is in
     no other fragment, so the completion does not depend on its length and
     runs once; every input gets the same answer as the length loop.
+
+    Every answer is exact except when a completion runs out of its
+    _COMPLETION_STEPS: it then answers False, which may under-prune, and
+    ``exact`` turns False for the rest of the matcher's life.
     """
 
     def __init__(self, frags):
+        self.exact = True
         uses = Counter(s.var for frag in frags for s in frag)
         flips = {s.var for frag in frags for s in frag if s.mirrored}
         self.plans = []
@@ -166,7 +176,8 @@ class _AnchoredMatcher:
     def occurrence_ending_at(self, text: str, cap: int) -> bool:
         """True iff the formula occurs in text with some fragment image
         ending at the last position.  Assuming the one-shorter prefix avoided
-        the formula, this is equivalent to full occurrence."""
+        the formula, this is equivalent to full occurrence (a completion out
+        of budget answers False and clears ``exact``)."""
         n = len(text)
         for plan, counts, others in self.plans:
             total = len(plan)
@@ -178,8 +189,7 @@ class _AnchoredMatcher:
                 return True
         return False
 
-    @staticmethod
-    def _complete(text, assignment, others, cap) -> bool:
+    def _complete(self, text, assignment, others, cap) -> bool:
         if others is None:
             return True
         frags, ordering = others
@@ -194,7 +204,8 @@ class _AnchoredMatcher:
         try:
             return completion.run() is not None
         except SearchBudgetExceeded:
-            # under-prune: the full check on candidate acceptance rules
+            # under-prune: from now on the full check on acceptance rules
+            self.exact = False
             return False
 
     def _match(self, plan, idx, text, end, caps, assignment, others, cap) -> bool:
@@ -247,6 +258,11 @@ def search_avoiding_word(
     distinctly from running out of step budget.  Without a ``max_image_len``
     (or with one at least `length`), a returned word is a genuine avoider and
     exhaustion is evidence toward unavoidability on k letters at that length.
+
+    Every prefix on the path to an accepted word passed the exact anchored
+    prune, so the word avoids phi at the cap.  Only after some fragment
+    completion ran out of budget (``matcher.exact`` is False) is an accepted
+    word re-checked with ``occurs`` at the same cap.
     """
     if k < 1 or length < 1:
         raise ValueError("alphabet size and length must be >= 1")
@@ -265,7 +281,9 @@ def search_avoiding_word(
         return None if matcher.occurrence_ending_at(text, cap) else text
 
     def accept(found: Word) -> bool:
-        # the anchored pruning may miss an occurrence; the full check rules
+        if matcher.exact:
+            return True
+        # a completion under-pruned somewhere; the full check rules
         try:
             return occurs(phi, found, SearchBudget(cap, _COMPLETION_STEPS)) is None
         except SearchBudgetExceeded:

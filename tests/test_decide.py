@@ -336,6 +336,28 @@ class TestWitnesses:
         assert v.certificate.name == "doubled"
         assert v.evidence is not None and v.evidence["kind"] == "evidence_only"
 
+    def test_single_fragment_flat_witness_ends(self):
+        # m = 1, n = 2, no isolated variable: the flat witness comes from the
+        # avoider search, whose accepted words are no longer re-checked by
+        # occurs at 10^6 steps each (that ran for minutes)
+        phi = parse("w z y z w~ z y")
+        started = time.monotonic()
+        v = decide(phi)
+        assert time.monotonic() - started < 20
+        assert v.status == AVOIDABLE
+        assert v.certificate.name == "doubled"
+        report = verify_witness_prefix(v.certificate.witness, normalize(phi), 300, 30)
+        assert report.mode == WITNESS_OK
+
+    def test_single_fragment_evidence_ends(self):
+        # the square-free prefix's absence proof runs out of budget, and the
+        # avoider search gives the evidence word
+        started = time.monotonic()
+        v = decide(parse("z w x y y"), evidence=True)
+        assert time.monotonic() - started < 20
+        assert v.status == AVOIDABLE
+        assert v.evidence is not None and v.evidence["kind"] == "evidence_only"
+
     def test_decide_certificates_never_contradict_division(self):
         # an unavoidable verdict and a verified lemma witness must not coexist
         for text in ["x y x~", "x x~", "x y~ x", "x x", "x y x y"]:

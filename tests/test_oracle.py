@@ -50,7 +50,8 @@ class TestSearchAvoidingWord:
         assert report.word is None
 
     def test_found_words_reverify(self):
-        # the acceptance check is a full occurrence search at the image cap
+        # the anchored prune is exact, so every word it lets through avoids
+        # phi at the image cap: an independent full search finds nothing
         for text in ["x x", "x x~", "x y x y"]:
             phi = parse(text)
             report = search_avoiding_word(phi, 3, 25, SearchBudget(25, 10**6))
@@ -77,6 +78,45 @@ class TestSearchAvoidingWord:
         assert report.mode == AVOIDER_FOUND
         assert report.nodes == 265005
         assert "".join(report.word.letters) == "12131213121312312321323132313213213212121222311133"
+
+    def test_exact_prune_accepts_without_occurs(self, monkeypatch):
+        # while no completion runs out of budget the anchored prune is exact,
+        # and accepting a word runs no full occurrence search
+        def refuse(*args, **kwargs):
+            raise AssertionError("occurs called on acceptance")
+
+        monkeypatch.setattr(oracle, "occurs", refuse)
+        report = search_avoiding_word(parse("x x y x"), 3, 50, SearchBudget(50, 400_000))
+        assert report.nodes == 265005
+        assert "".join(report.word.letters) == "12131213121312312321323132313213213212121222311133"
+        report = search_avoiding_word(parse("x x . y y~"), 3, 20, SearchBudget(20, 10**6))
+        assert report.mode == AVOIDER_FOUND
+
+    def test_completion_out_of_budget_brings_back_the_recheck(self, monkeypatch):
+        # a completion that runs out of budget answers "no occurrence", which
+        # may under-prune; from then on every accepted word is re-checked
+        run = oracle._ConcreteSearch.run
+        runs = []
+
+        def first_run_exhausts(search):
+            runs.append(search)
+            if len(runs) == 1:
+                raise morphisms.SearchBudgetExceeded(1)
+            return run(search)
+
+        checks = []
+
+        def counted_occurs(*args, **kwargs):
+            checks.append(args)
+            return occurs(*args, **kwargs)
+
+        monkeypatch.setattr(oracle._ConcreteSearch, "run", first_run_exhausts)
+        monkeypatch.setattr(oracle, "occurs", counted_occurs)
+        phi = parse("x x . y y~")
+        report = search_avoiding_word(phi, 3, 20, SearchBudget(20, 10**6))
+        assert report.mode == AVOIDER_FOUND
+        assert len(runs) > 1 and checks
+        assert occurs(phi, report.word, SearchBudget(20, 10**7)) is None
 
 
 def _anchored_scan(frags, text, cap):
