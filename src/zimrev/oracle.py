@@ -26,9 +26,8 @@ the pruning.
 The rest is not independent of the search path: the avoider search
 completes the other fragments with the concrete occurrence search (and,
 after a completion ran out of budget, re-checks words through ``occurs``),
-and ``all_words_encounter`` and
-``verify_witness_prefix`` run ``occurs`` too.  A checker that shares no code
-with the search is ROADMAP item 4.
+and ``all_words_encounter`` and ``verify_witness_prefix`` run ``occurs``
+too.  A checker that shares no code with the search is ROADMAP item 4.
 """
 
 from __future__ import annotations

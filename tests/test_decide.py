@@ -338,8 +338,8 @@ class TestWitnesses:
 
     def test_single_fragment_flat_witness_ends(self):
         # m = 1, n = 2, no isolated variable: the flat witness comes from the
-        # avoider search, whose accepted words are no longer re-checked by
-        # occurs at 10^6 steps each (that ran for minutes)
+        # avoider search; re-checking each accepted word with occurs at 10^6
+        # steps would take minutes
         phi = parse("w z y z w~ z y")
         started = time.monotonic()
         v = decide(phi)
