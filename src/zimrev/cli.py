@@ -5,10 +5,12 @@ All subcommands print a single JSON document (keys sorted, schema_version
 decided/consistent run, 1 for corpus mismatches, 2 for usage or parse
 errors, 3 for an unknown verdict.
 
-Four flags are global: --max-steps bounds every search, --max-image-len
-caps the images of divides and occurs (unset, they search at the sound bound,
-as decide always does), --jobs sets corpus parallelism and --pretty indents
-the output.
+Four flags are global: --max-steps is the step budget of divides, occurs
+and powerfree and, in decide and corpus, of the division into Z(m, n) only
+(the lemma witness and evidence searches keep their own budgets; reduce has
+none), --max-image-len caps the images of divides and occurs (unset, they
+search at the sound bound, as decide always does), --jobs sets corpus
+parallelism and --pretty indents the output.
 """
 
 from __future__ import annotations

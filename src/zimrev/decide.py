@@ -57,7 +57,9 @@ AVOIDABLE = "avoidable"
 UNKNOWN = "unknown"
 
 _WITNESS_STEPS = 2_000_000
-_AVOIDER_STEPS = 150_000  # per alphabet size; a stuck tree just moves on
+# per alphabet size, for the nodes and, separately, for all fragment
+# completions together; a search that runs out just moves on
+_AVOIDER_STEPS = 150_000
 EVIDENCE_LENGTH = 50
 
 # The alphabets the avoider search tries, for evidence and flat witnesses

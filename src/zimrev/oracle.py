@@ -3,18 +3,19 @@
 Depth-first avoiding-word search, exhaustive encounter checks, bounded
 witness verification, and power-free word generation.  Both searches run on
 one backtracking driver (``_dfs``), which owns the choice stack, the node
-count, the step budget and the report; each search supplies only its prune
-and its acceptance check.  The avoider search prunes each extension with an
-end-anchored occurrence check (only images touching the new suffix are
-re-parsed).  That prune is exact: an occurrence in a word whose one-shorter
-prefix avoids the formula has some fragment image ending at the last letter.
-Its one inexact step is completing the other fragments, a bounded concrete
-search that counts as "no occurrence" when it runs out of budget; only after
-that has happened does an accepted word get a full occurrence check.  In
-that anchored check a variable that occurs once in the whole formula is a
-gap: once the symbols left of it in its fragment are bound, one ``str.find``
-of their joined images over the window its length allows replaces the loop
-over its lengths.  Nothing else mentions the gap, so its length only moves
+count, the step budget and the report; each search supplies only its prune.
+The avoider search prunes each extension with an end-anchored occurrence
+check (only images touching the new suffix are re-parsed).  That prune is
+exact: an occurrence in a word whose one-shorter prefix avoids the formula
+has some fragment image ending at the last letter, so a word that reaches
+full length avoids the formula and is accepted without a second search.
+Completing the other fragments is a concrete search whose steps come out of
+the avoider search's own budget; when that pool runs dry the search reports
+``budget_exhausted`` instead of guessing.  In that anchored check a
+variable that occurs once in the whole formula is a gap: once the symbols
+left of it in its fragment are bound, one ``str.find`` of their joined
+images over the window its length allows replaces the loop over its
+lengths.  Nothing else mentions the gap, so its length only moves
 where those symbols must end and cannot change the completion of the other
 fragments; the check returns the same boolean as the loop, and the DFS
 visits the same nodes.
@@ -24,10 +25,9 @@ re-verifies the final word with the exponent scan, which shares no code with
 the pruning.
 
 The rest is not independent of the search path: the avoider search
-completes the other fragments with the concrete occurrence search (and,
-after a completion ran out of budget, re-checks words through ``occurs``),
-and ``all_words_encounter`` and ``verify_witness_prefix`` run ``occurs``
-too.  A checker that shares no code with the search is ROADMAP item 4.
+completes the other fragments with the concrete occurrence search, and
+``all_words_encounter`` and ``verify_witness_prefix`` run ``occurs``.  A
+checker that shares no code with the search is ROADMAP item 4.
 """
 
 from __future__ import annotations
@@ -84,13 +84,14 @@ class OracleReport:
 _COMPLETION_STEPS = 1_000_000
 
 
-def _dfs(glyphs, length, max_steps, params, extend, accept) -> OracleReport:
+def _dfs(glyphs, length, max_steps, params, extend) -> OracleReport:
     """Depth-first search over the words of `length` letters from glyphs,
     lowest letter first; every node counts against `max_steps`.
 
     ``extend(text, parent)`` gets a new node's text and its parent's state
-    (None at the root) and returns the node's state, or None to prune it.
-    ``accept(word)`` re-checks a full-length node that was not pruned.
+    (None at the root) and returns the node's state, or None to prune it;
+    the first full-length node it keeps is the word found.  A prune that
+    raises ``SearchBudgetExceeded`` ends the search as budget exhausted.
     """
     k = len(glyphs)
     text = ""
@@ -108,14 +109,14 @@ def _dfs(glyphs, length, max_steps, params, extend, accept) -> OracleReport:
         nodes += 1
         if nodes > max_steps:
             return OracleReport(BUDGET_EXHAUSTED, nodes=nodes, params=params)
-        state = extend(candidate, states[-1])
+        try:
+            state = extend(candidate, states[-1])
+        except SearchBudgetExceeded:
+            return OracleReport(BUDGET_EXHAUSTED, nodes=nodes, params=params)
         if state is None:
             continue
         if len(candidate) == length:
-            found = Word(tuple(candidate))
-            if accept(found):
-                return OracleReport(AVOIDER_FOUND, word=found, nodes=nodes, params=params)
-            continue
+            return OracleReport(AVOIDER_FOUND, word=Word(tuple(candidate)), nodes=nodes, params=params)
         text = candidate
         states.append(state)
         choice.append(0)
@@ -143,13 +144,13 @@ class _AnchoredMatcher:
     no other fragment, so the completion does not depend on its length and
     runs once; every input gets the same answer as the length loop.
 
-    Every answer is exact except when a completion runs out of its
-    _COMPLETION_STEPS: it then answers False, which may under-prune, and
-    ``exact`` turns False for the rest of the matcher's life.
+    The completions share one pool of `max_steps` steps: each runs with
+    what is left and spends from it, and the one that runs dry raises
+    ``SearchBudgetExceeded``.  So every answer the matcher gives is exact.
     """
 
-    def __init__(self, frags):
-        self.exact = True
+    def __init__(self, frags, max_steps: int):
+        self.steps_left = max_steps
         uses = Counter(s.var for frag in frags for s in frag)
         flips = {s.var for frag in frags for s in frag if s.mirrored}
         self.plans = []
@@ -175,8 +176,8 @@ class _AnchoredMatcher:
     def occurrence_ending_at(self, text: str, cap: int) -> bool:
         """True iff the formula occurs in text with some fragment image
         ending at the last position.  Assuming the one-shorter prefix avoided
-        the formula, this is equivalent to full occurrence (a completion out
-        of budget answers False and clears ``exact``)."""
+        the formula, this is equivalent to full occurrence.  Raises
+        ``SearchBudgetExceeded`` when the completions' pool runs dry."""
         n = len(text)
         for plan, counts, others in self.plans:
             total = len(plan)
@@ -196,16 +197,13 @@ class _AnchoredMatcher:
             frags,
             text,
             cap=cap,
-            max_steps=_COMPLETION_STEPS,
+            max_steps=self.steps_left,
             fixed={var: entry[0] for var, entry in assignment.items()},
             ordering=ordering,
         )
-        try:
-            return completion.run() is not None
-        except SearchBudgetExceeded:
-            # under-prune: from now on the full check on acceptance rules
-            self.exact = False
-            return False
+        found = completion.run() is not None
+        self.steps_left -= completion.steps
+        return found
 
     def _match(self, plan, idx, text, end, caps, assignment, others, cap) -> bool:
         if idx == len(plan):
@@ -258,10 +256,10 @@ def search_avoiding_word(
     (or with one at least `length`), a returned word is a genuine avoider and
     exhaustion is evidence toward unavoidability on k letters at that length.
 
-    Every prefix on the path to an accepted word passed the exact anchored
-    prune, so the word avoids phi at the cap.  Only after some fragment
-    completion ran out of budget (``matcher.exact`` is False) is an accepted
-    word re-checked with ``occurs`` at the same cap.
+    Every prefix on the path to a returned word passed the exact anchored
+    prune, so the word avoids phi at the cap.  The budget's ``max_steps``
+    bounds the nodes and, separately, the steps of all fragment completions
+    together; either running out ends the search as budget exhausted.
     """
     if k < 1 or length < 1:
         raise ValueError("alphabet size and length must be >= 1")
@@ -273,22 +271,13 @@ def search_avoiding_word(
     if not frags:
         # the empty formula occurs vacuously in every word
         return OracleReport(TREE_EXHAUSTED, nodes=0, params=params)
-    matcher = _AnchoredMatcher(frags)
+    matcher = _AnchoredMatcher(frags, budget.max_steps)
     cap = min(image_len, length)
 
     def avoids(text: str, _) -> Optional[str]:
         return None if matcher.occurrence_ending_at(text, cap) else text
 
-    def accept(found: Word) -> bool:
-        if matcher.exact:
-            return True
-        # a completion under-pruned somewhere; the full check rules
-        try:
-            return occurs(phi, found, SearchBudget(cap, _COMPLETION_STEPS)) is None
-        except SearchBudgetExceeded:
-            return False  # cannot certify this candidate; keep searching
-
-    return _dfs(glyphs, length, budget.max_steps, params, avoids, accept)
+    return _dfs(glyphs, length, budget.max_steps, params, avoids)
 
 
 def all_words_encounter(phi: FormulaR, k: int, length: int) -> bool:
@@ -340,12 +329,10 @@ def generate_power_free(
                     return None
         return runs
 
-    def accept(found: Word) -> bool:
-        if max_exponent(found) >= alpha:
-            raise RuntimeError("incremental power check disagrees with the exponent scan")
-        return True
-
-    return _dfs(alphabet(q), length, max_steps, params, runs_below, accept)
+    report = _dfs(alphabet(q), length, max_steps, params, runs_below)
+    if report.word is not None and max_exponent(report.word) >= alpha:
+        raise RuntimeError("incremental power check disagrees with the exponent scan")
+    return report
 
 
 def verify_witness_prefix(

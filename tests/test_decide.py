@@ -358,6 +358,15 @@ class TestWitnesses:
         assert v.status == AVOIDABLE
         assert v.evidence is not None and v.evidence["kind"] == "evidence_only"
 
+    def test_multi_fragment_evidence_ends(self):
+        # three one-way variables, so the verdict is unknown and an evidence
+        # search runs; its fragment completions spend the search's own budget
+        started = time.monotonic()
+        v = decide(parse("v3 v2~ . v3 v5 v3~ v1~ v0~ v5 v3~ v5~"))
+        assert time.monotonic() - started < 20
+        assert v.status == UNKNOWN
+        assert (v.m, v.n) == (2, 3)
+
     def test_decide_certificates_never_contradict_division(self):
         # an unavoidable verdict and a verified lemma witness must not coexist
         for text in ["x y x~", "x x~", "x y~ x", "x x", "x y x y"]:

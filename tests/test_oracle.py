@@ -92,31 +92,46 @@ class TestSearchAvoidingWord:
         report = search_avoiding_word(parse("x x . y y~"), 3, 20, SearchBudget(20, 10**6))
         assert report.mode == AVOIDER_FOUND
 
-    def test_completion_out_of_budget_brings_back_the_recheck(self, monkeypatch):
-        # a completion that runs out of budget answers "no occurrence", which
-        # may under-prune; from then on every accepted word is re-checked
-        run = oracle._ConcreteSearch.run
+    def test_completion_out_of_budget_ends_the_search(self, monkeypatch):
+        # a completion that runs out of budget proves nothing, so the search
+        # ends as budget exhausted instead of counting it as "no occurrence"
         runs = []
 
         def first_run_exhausts(search):
             runs.append(search)
-            if len(runs) == 1:
-                raise morphisms.SearchBudgetExceeded(1)
-            return run(search)
+            raise morphisms.SearchBudgetExceeded(1)
 
-        checks = []
-
-        def counted_occurs(*args, **kwargs):
-            checks.append(args)
-            return occurs(*args, **kwargs)
+        def refuse(*args, **kwargs):
+            raise AssertionError("occurs called on the avoider path")
 
         monkeypatch.setattr(oracle._ConcreteSearch, "run", first_run_exhausts)
-        monkeypatch.setattr(oracle, "occurs", counted_occurs)
-        phi = parse("x x . y y~")
-        report = search_avoiding_word(phi, 3, 20, SearchBudget(20, 10**6))
-        assert report.mode == AVOIDER_FOUND
-        assert len(runs) > 1 and checks
-        assert occurs(phi, report.word, SearchBudget(20, 10**7)) is None
+        monkeypatch.setattr(oracle, "occurs", refuse)
+        report = search_avoiding_word(parse("x x . y y~"), 3, 20, SearchBudget(20, 10**6))
+        assert report.mode == BUDGET_EXHAUSTED
+        assert report.word is None
+        # the first completion runs at node "11", where x x ends
+        assert len(runs) == 1 and report.nodes == 2
+
+    def test_completions_share_the_search_budget(self, monkeypatch):
+        # every completion runs on what the earlier ones left of max_steps;
+        # one that runs out is counted up to its first step over the budget
+        spent = []
+
+        class CountedSearch(oracle._ConcreteSearch):
+            def run(self):
+                try:
+                    found = super().run()
+                except morphisms.SearchBudgetExceeded as over:
+                    spent.append(over.steps)
+                    raise
+                spent.append(self.steps)
+                return found
+
+        monkeypatch.setattr(oracle, "_ConcreteSearch", CountedSearch)
+        report = search_avoiding_word(parse("x x . y y~"), 3, 50, SearchBudget(50, 2000))
+        assert report.mode == BUDGET_EXHAUSTED
+        assert len(spent) > 1
+        assert sum(spent) <= 2000 + 1
 
 
 def _anchored_scan(frags, text, cap):
@@ -166,7 +181,7 @@ def test_anchored_matcher_matches_plain_scan(frags, text):
     fresh = iter(f"g{i}" for i in range(12))
     phi = FormulaR([PatternR(tuple(Sym(var or next(fresh), m) for var, m in frag)) for frag in frags])
     frags = _sorted_frags(phi)
-    matcher = _AnchoredMatcher(frags)
+    matcher = _AnchoredMatcher(frags, 10**7)
     for n in range(1, len(text) + 1):
         for cap in range(1, n + 2):
             expected = _anchored_scan(frags, text[:n], cap)
@@ -238,7 +253,7 @@ def test_completion_variable_order_is_computed_once_per_plan(monkeypatch):
     monkeypatch.setattr(oracle, "_variable_order", counted_order)
     monkeypatch.setattr(oracle, "_ConcreteSearch", CountedSearch)
     frags = _sorted_frags(parse("x y x . y y~ . z x"))
-    matcher = _AnchoredMatcher(frags)
+    matcher = _AnchoredMatcher(frags, 10**7)
     assert len(calls) == len(frags)  # one per plan
     found = 0
     for n in range(1, 8):
